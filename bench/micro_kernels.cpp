@@ -5,8 +5,6 @@
 // traffic:
 //   * radix_sort_dedup vs std::sort + std::unique — uniform hashed keys
 //     (the production case) and duplicate-heavy keys;
-//   * kway_merge_into vs tree_merge_into at the paper's maximum fan-in —
-//     balanced runs and one-dominant-run skew;
 //   * prefetched scatter_combine / gather vs their scalar forms — random
 //     (cache-hostile) and strictly-increasing (cache-friendly) maps.
 //
@@ -28,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "obs/json_writer.hpp"
-#include "sparse/kernels/kway_merge.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
 
@@ -123,47 +120,6 @@ void bench_sort(obs::JsonWriter& json) {
   }
 }
 
-void bench_merge(obs::JsonWriter& json) {
-  constexpr std::size_t kWays = 16;  // the paper's maximum degree
-  for (const std::size_t total : kSizes) {
-    for (const bool skewed : {false, true}) {
-      // Balanced: 16 equal runs. Skewed: one run holds ~80% of the
-      // elements, the rest split the remainder (replica/failure shapes).
-      std::vector<std::vector<key_t>> inputs;
-      Rng rng(total * 7 + (skewed ? 1 : 0));
-      for (std::size_t i = 0; i < kWays; ++i) {
-        const std::size_t n =
-            skewed ? (i == 0 ? total * 4 / 5 : total / (5 * (kWays - 1)))
-                   : total / kWays;
-        std::vector<key_t> keys(n);
-        for (auto& k : keys) k = rng();
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        inputs.push_back(std::move(keys));
-      }
-      std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-      Row row{"kway_merge", "tree_merge", total,
-              skewed ? "one-dominant" : "balanced"};
-
-      UnionResult out;
-      kernels::KWayScratch kway_scratch;
-      kernels::kway_merge_into(spans, out, kway_scratch);  // warm
-      row.kernel_eps =
-          static_cast<double>(total) / time_per_call(total, [&] {
-            kernels::kway_merge_into(spans, out, kway_scratch);
-          });
-
-      MergeScratch tree_scratch;
-      tree_merge_into(spans, out, tree_scratch);  // warm
-      row.baseline_eps =
-          static_cast<double>(total) / time_per_call(total, [&] {
-            tree_merge_into(spans, out, tree_scratch);
-          });
-      emit(json, row);
-    }
-  }
-}
-
 void bench_scatter_gather(obs::JsonWriter& json) {
   for (const std::size_t n : kSizes) {
     for (const bool random_map : {true, false}) {
@@ -229,20 +185,12 @@ int main(int argc, char** argv) {
   json.key_value("trials", kTrials);
   json.key("tuning");
   json.begin_object();
-  const kernels::KernelTuning& t = kernels::kernel_tuning();
-  json.key_value("kway_min_ways", static_cast<std::uint64_t>(t.kway_min_ways));
-  json.key_value("kway_min_elements",
-                 static_cast<std::uint64_t>(t.kway_min_elements));
-  json.key_value("radix_min_keys",
-                 static_cast<std::uint64_t>(t.radix_min_keys));
-  json.key_value("gallop_ratio", static_cast<std::uint64_t>(t.gallop_ratio));
   json.key_value("prefetch_ahead",
                  static_cast<std::uint64_t>(kernels::kPrefetchAhead));
   json.end_object();
   json.key("kernels");
   json.begin_array();
   bench_sort(json);
-  bench_merge(json);
   bench_scatter_gather(json);
   json.end_array();
   json.end_object();

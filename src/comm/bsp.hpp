@@ -17,6 +17,7 @@
 #include "cluster/failure.hpp"
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
+#include "comm/delivery.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/packet.hpp"
 #include "common/check.hpp"
@@ -117,15 +118,17 @@ class BspEngine {
     // rounds perform no heap allocation here.
     if (inboxes_.size() < num_nodes_) inboxes_.resize(num_nodes_);
     for (auto& inbox : inboxes_) inbox.clear();
+    const LetterDelivery<V> wire{failures_, trace_,    timing_,
+                                 observer_, channel_, &dropped_};
     for (rank_t rank = 0; rank < num_nodes_; ++rank) {
       if (is_dead(rank)) continue;
       for (Letter<V>& letter : produce(rank)) {
         KYLIX_DCHECK(letter.src == rank);
         KYLIX_CHECK_MSG(letter.dst < num_nodes_, "letter to invalid rank");
-        deliver(phase, layer, std::move(letter), inboxes_);
+        wire.deliver(phase, layer, std::move(letter), inboxes_);
       }
     }
-    if (channel_ != nullptr) drain_due(phase, layer);
+    if (channel_ != nullptr) wire.drain_due(phase, layer, inboxes_);
     for (rank_t rank = 0; rank < num_nodes_; ++rank) {
       if (is_dead(rank)) continue;
       auto& inbox = inboxes_[rank];
@@ -151,68 +154,6 @@ class BspEngine {
   }
 
  private:
-  void deliver(Phase phase, std::uint16_t layer, Letter<V>&& letter,
-               std::vector<std::vector<Letter<V>>>& inboxes) {
-    const std::uint64_t bytes = letter.packet.wire_bytes();
-    const MsgEvent event{phase, layer, letter.src, letter.dst, bytes};
-    if (trace_ != nullptr) trace_->add(event);
-    if (timing_ != nullptr) timing_->on_message(event);
-    if (observer_ != nullptr) observer_->on_message(event);
-    // A send to a dead node costs the sender (charged above) but never
-    // arrives.
-    if (failures_ != nullptr && failures_->is_dead(letter.dst)) {
-      ++dropped_;
-      if (observer_ != nullptr) observer_->on_drop(event);
-      return;
-    }
-    if (channel_ != nullptr) {
-      const FaultAction action = channel_->route(phase, layer, letter);
-      if (action != FaultAction::kDeliver) {
-        if (observer_ != nullptr) observer_->on_fault(event, action);
-        if (action == FaultAction::kDuplicate) {
-          // The wire carried the letter twice; charge the second copy.
-          if (trace_ != nullptr) trace_->add(event);
-          if (timing_ != nullptr) timing_->on_message(event);
-          if (observer_ != nullptr) observer_->on_message(event);
-        } else {
-          return;  // kDrop is lost; kDelay is stashed in the channel.
-        }
-      }
-    }
-    inboxes[letter.dst].push_back(std::move(letter));
-  }
-
-  /// Move delayed letters that are due this round into their inboxes. A
-  /// letter is discarded as stale when its destination died meanwhile or a
-  /// fresh letter for the same (sender, chunk) slot already arrived this
-  /// round — sibling chunks of the same logical letter never supersede.
-  void drain_due(Phase phase, std::uint16_t layer) {
-    for (Letter<V>& letter : channel_->due()) {
-      const MsgEvent event{phase, layer, letter.src, letter.dst,
-                           letter.packet.wire_bytes()};
-      if (letter.dst >= num_nodes_ ||
-          (failures_ != nullptr && failures_->is_dead(letter.dst))) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      auto& inbox = inboxes_[letter.dst];
-      const bool superseded =
-          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-            return same_slot(l, letter);
-          });
-      if (superseded) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      inbox.push_back(std::move(letter));
-      channel_->note_redelivered();
-      if (observer_ != nullptr) observer_->on_redelivery(event, false);
-    }
-    channel_->due().clear();
-  }
-
   rank_t num_nodes_;
   const FailureModel* failures_;
   Trace* trace_;

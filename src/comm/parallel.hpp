@@ -40,6 +40,7 @@
 #include "cluster/failure.hpp"
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
+#include "comm/delivery.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/packet.hpp"
 #include "common/check.hpp"
@@ -163,7 +164,8 @@ class ParallelBspEngine {
     });
 
     // 2. Sequential delivery in (rank, production) order — the event order
-    // BspEngine produces — so traces and modeled timing match exactly.
+    // BspEngine produces, through the same LetterDelivery step — so traces
+    // and modeled timing match exactly.
     // The staged outboxes give the exact round size up front, so the trace
     // can reserve once instead of growing mid-round.
     if (trace_ != nullptr) {
@@ -172,37 +174,14 @@ class ParallelBspEngine {
       trace_->reserve(staged);
     }
     for (auto& inbox : inboxes_) inbox.clear();
+    const LetterDelivery<V> wire{failures_, trace_,    timing_,
+                                 observer_, channel_, &dropped_};
     for (rank_t rank = 0; rank < num_nodes_; ++rank) {
       for (Letter<V>& letter : outboxes_[rank]) {
-        const std::uint64_t bytes = letter.packet.wire_bytes();
-        const MsgEvent event{phase, layer, letter.src, letter.dst, bytes};
-        if (trace_ != nullptr) trace_->add(event);
-        if (timing_ != nullptr) timing_->on_message(event);
-        if (observer_ != nullptr) observer_->on_message(event);
-        // A send to a dead node costs the sender but never arrives.
-        if (failures_ != nullptr && failures_->is_dead(letter.dst)) {
-          ++dropped_;
-          if (observer_ != nullptr) observer_->on_drop(event);
-          continue;
-        }
-        if (channel_ != nullptr) {
-          const FaultAction action = channel_->route(phase, layer, letter);
-          if (action != FaultAction::kDeliver) {
-            if (observer_ != nullptr) observer_->on_fault(event, action);
-            if (action == FaultAction::kDuplicate) {
-              // The wire carried the letter twice; charge the second copy.
-              if (trace_ != nullptr) trace_->add(event);
-              if (timing_ != nullptr) timing_->on_message(event);
-              if (observer_ != nullptr) observer_->on_message(event);
-            } else {
-              continue;  // kDrop is lost; kDelay is stashed in the channel.
-            }
-          }
-        }
-        inboxes_[letter.dst].push_back(std::move(letter));
+        wire.deliver(phase, layer, std::move(letter), inboxes_);
       }
     }
-    if (channel_ != nullptr) drain_due(phase, layer);
+    if (channel_ != nullptr) wire.drain_due(phase, layer, inboxes_);
 
     // 3. Parallel consume; compute charges buffer per rank (one consumer
     // per rank, so the buffers are contention-free).
@@ -250,35 +229,6 @@ class ParallelBspEngine {
     std::uint16_t layer;
     double seconds;
   };
-
-  /// Same redelivery rules as BspEngine::drain_due (stale when the dst died
-  /// or a fresh letter for the same (sender, chunk) slot already arrived).
-  void drain_due(Phase phase, std::uint16_t layer) {
-    for (Letter<V>& letter : channel_->due()) {
-      const MsgEvent event{phase, layer, letter.src, letter.dst,
-                           letter.packet.wire_bytes()};
-      if (letter.dst >= num_nodes_ ||
-          (failures_ != nullptr && failures_->is_dead(letter.dst))) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      auto& inbox = inboxes_[letter.dst];
-      const bool superseded =
-          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-            return same_slot(l, letter);
-          });
-      if (superseded) {
-        channel_->note_stale();
-        if (observer_ != nullptr) observer_->on_redelivery(event, true);
-        continue;
-      }
-      inbox.push_back(std::move(letter));
-      channel_->note_redelivered();
-      if (observer_ != nullptr) observer_->on_redelivery(event, false);
-    }
-    channel_->due().clear();
-  }
 
   rank_t num_nodes_;
   ThreadPool pool_;

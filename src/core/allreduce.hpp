@@ -17,8 +17,10 @@
 //     replay, amortizing routing across payloads.
 //   * reduce_with_config() — minibatch workloads whose sets change every
 //     step; configuration and reduction share combined messages, saving a
-//     full downward pass. This path stays node-driven (no plan is frozen:
-//     the routing would be thrown away next step anyway).
+//     full downward pass. The nodes configure with the values riding their
+//     config letters, then move their RankPlans into a plan private to this
+//     allreduce, and the executor replays the allgather from the nodes'
+//     reduced bottom buffers. KylixNode never runs a value round itself.
 //
 // Modeled compute (tree merges, scatter-adds, gathers) is charged to the
 // engine per round when a ComputeModel is supplied, so timing reports
@@ -35,7 +37,6 @@
 
 #include "cluster/netmodel.hpp"
 #include "common/hash.hpp"
-#include "core/autotune.hpp"
 #include "core/degraded.hpp"
 #include "core/executor.hpp"
 #include "core/node.hpp"
@@ -75,19 +76,22 @@ class SparseAllreduce {
   }
 
   /// Toggle streamed replay (chunked letters, eager per-chunk combining —
-  /// DESIGN §9). Applies to plan-based reduces; the combined node-driven
-  /// path ignores it. Bit-identical to letter-at-once on every engine.
+  /// DESIGN §9). Applies to reduce()/reduce_strided(); the allgather that
+  /// finishes reduce_with_config() stays letter-at-once. Bit-identical to
+  /// letter-at-once on every engine.
   void set_streaming(bool on) { executor_.set_streaming(on); }
   [[nodiscard]] bool streaming() const { return executor_.streaming(); }
 
-  /// Telemetry of the last plan-based reduce (chunks, block flushes,
-  /// buffer envelopes, overlap ratio).
+  /// Telemetry of the last replay (chunks, block flushes, buffer
+  /// envelopes, overlap ratio); after reduce_with_config() it covers the
+  /// allgather only.
   [[nodiscard]] const StreamStats& stream_stats() const {
     return executor_.stream_stats();
   }
 
-  /// Attach a flight recorder to plan-based replays (optional, not owned):
-  /// replay markers plus per-round stream-flush/watermark events.
+  /// Attach a flight recorder to every replay (optional, not owned),
+  /// including the allgather of reduce_with_config(): replay markers plus
+  /// per-round stream-flush/watermark events.
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     executor_.set_flight_recorder(recorder);
   }
@@ -110,31 +114,10 @@ class SparseAllreduce {
     }
     const std::uint64_t fp =
         salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
-    mode_ = Mode::kNone;
     build_nodes(std::move(in_sets), std::move(out_sets));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
-    }
-    finish_configure();
-    auto plan = std::make_shared<CollectivePlan>(topo_, fp);
-    for (const Node& node : nodes_) {
-      if (node.configured()) {
-        node.freeze_into(plan->mutable_rank_plan(node.rank()));
-      }
-    }
-    freeze_union_kernels(*plan);
-    plan->set_chunk_bytes(
-        chunk_bytes_ != 0
-            ? chunk_bytes_
-            : (net_ != nullptr
-                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
-                   : 0));
-    plan_ = std::move(plan);
-    if (plan_->any_configured()) {
-      executor_.bind(engine_, plan_, compute_, net_);
-      mode_ = Mode::kPlan;
-    }
+    run_config_rounds();
+    plan_ = take_node_plans(fp);
+    activate(plan_, /*combined=*/false);
     return plan_;
   }
 
@@ -151,11 +134,9 @@ class SparseAllreduce {
                        plan->topology().degrees().end(),
                        topo_.degrees().begin(), topo_.degrees().end()),
         "adopted plan was compiled for a different topology");
-    mode_ = Mode::kNone;
     nodes_.clear();
     plan_ = std::move(plan);
-    executor_.bind(engine_, plan_, compute_, net_);
-    mode_ = Mode::kPlan;
+    activate(plan_, /*combined=*/false);
   }
 
   /// Cache-aware configure: fingerprint the sets, adopt on a hit, compile
@@ -181,26 +162,15 @@ class SparseAllreduce {
   /// Step 2: push contributions down and pull requested values back up.
   /// `out_values[r]` aligns with the key order of machine r's out set;
   /// the result[r] aligns with the key order of machine r's in set.
-  /// Reusable: call any number of times after one configure(). Plan-based
-  /// configurations replay the compiled schedule (no routing state is
-  /// touched); after reduce_with_config() the retained nodes re-reduce.
+  /// Reusable: call any number of times after one configure(). Every
+  /// reduce replays the active plan — the compiled or adopted one, or after
+  /// reduce_with_config() the private plan its nodes built.
   [[nodiscard]] std::vector<std::vector<V>> reduce(
       std::vector<std::vector<V>> out_values) {
-    if (mode_ == Mode::kPlan) return executor_.reduce(std::move(out_values));
     // Dead ranks never configure (degraded completion), so the precondition
-    // is that some alive node finished configuring.
-    KYLIX_CHECK_MSG(mode_ == Mode::kCombined &&
-                        std::any_of(nodes_.begin(), nodes_.end(),
-                                    [](const Node& n) {
-                                      return n.configured();
-                                    }),
-                    "reduce() before configure()");
-    load_values(std::move(out_values));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kReduceDown, layer, &Node::down_produce,
-                &Node::down_consume);
-    }
-    return run_up_pass();
+    // is that some alive rank finished configuring.
+    KYLIX_CHECK_MSG(replayable(), "reduce() before configure()");
+    return executor_.reduce(std::move(out_values));
   }
 
   /// Multi-payload replay: reduce `stride` value vectors through one pass.
@@ -210,7 +180,7 @@ class SparseAllreduce {
   /// reduce() calls per component. Requires a plan-based configuration.
   [[nodiscard]] std::vector<std::vector<V>> reduce_strided(
       std::vector<std::vector<V>> out_values, std::uint32_t stride) {
-    KYLIX_CHECK_MSG(mode_ == Mode::kPlan,
+    KYLIX_CHECK_MSG(replayable() && !combined_,
                     "reduce_strided() requires a compiled plan");
     return executor_.reduce_strided(std::move(out_values), stride);
   }
@@ -220,23 +190,26 @@ class SparseAllreduce {
   [[nodiscard]] std::vector<std::vector<V>> reduce_with_config(
       std::vector<KeySet> in_sets, std::vector<KeySet> out_sets,
       std::vector<std::vector<V>> out_values) {
-    // Combined mode is node-driven and throws its routing away per step;
-    // the shared-memory tier only pays off on replayed plans, so the
-    // hierarchical path deliberately does not exist here.
+    // The shared-memory tier only pays off on replayed plans, so the
+    // hierarchical combined path deliberately does not exist.
     KYLIX_CHECK_MSG(!topo_.hierarchical(),
                     "reduce_with_config() supports flat topologies only "
                     "(compile a hierarchical plan and replay it instead)");
-    mode_ = Mode::kCombined;
     build_nodes(std::move(in_sets), std::move(out_sets));
-    load_values(std::move(out_values));
-    for (Node& node : nodes_) node.set_combined(true);
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
+    KYLIX_CHECK(out_values.size() == nodes_.size());
+    // The values travel in the executor's per-rank scratch, so the
+    // allgather below starts from the bottom buffers the nodes leave there.
+    executor_.reserve(topo_.num_machines(), topo_.num_layers());
+    for (rank_t r = 0; r < nodes_.size(); ++r) {
+      note_input_mass(r, out_values[r]);
+      nodes_[r].carry_values(std::move(out_values[r]), executor_.scratch(r));
     }
-    for (Node& node : nodes_) node.set_combined(false);
-    finish_configure();
-    return run_up_pass();
+    run_config_rounds();
+    // The routing is thrown away next step, so the plan stays anonymous and
+    // private: plan() keeps whatever configure()/compile() last produced.
+    activate(take_node_plans(0), /*combined=*/true);
+    if (!replayable()) return std::vector<std::vector<V>>(nodes_.size());
+    return executor_.reduce_from_bottom();
   }
 
   /// Machine r's node, for tests and volume introspection (Fig. 5 reads the
@@ -253,55 +226,28 @@ class SparseAllreduce {
   /// measured per-node elements P_i entering communication layer i is
   /// entry i-1, and the last entry is the fully reduced bottom. This is the
   /// measured column of the run report's D_i / P_i comparison (src/obs).
-  /// Served from the nodes when they exist, from the adopted plan otherwise.
+  /// Read off the active plan's per-rank set sizes.
   [[nodiscard]] std::vector<double> measured_layer_elements() const {
-    if (nodes_.empty()) {
-      KYLIX_CHECK_MSG(plan_ != nullptr, "no configured state to measure");
-      std::vector<double> mean(topo_.num_layers() + 1, 0.0);
-      rank_t alive = 0;
-      for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-        const RankPlan& rp = plan_->rank_plan(r);
-        // Hierarchical members carry no per-layer sizes; only union-holding
-        // ranks (flat ranks, host leaders) enter the Prop 4.1 averages.
-        if (!rp.configured || engine_->is_dead(r) ||
-            rp.out_sizes.size() != mean.size()) {
-          continue;
-        }
-        ++alive;
-        for (std::uint16_t i = 0; i <= topo_.num_layers(); ++i) {
-          mean[i] += static_cast<double>(rp.out_sizes[i]);
-        }
-      }
-      if (alive > 0) {
-        for (double& v : mean) v /= static_cast<double>(alive);
-      }
-      return mean;
-    }
+    KYLIX_CHECK_MSG(active_ != nullptr, "no configured state to measure");
     std::vector<double> mean(topo_.num_layers() + 1, 0.0);
     rank_t alive = 0;
-    for (const Node& node : nodes_) {
-      // Unconfigured nodes (dead ranks, hierarchical non-leaders) hold no
-      // per-layer unions to measure.
-      if (engine_->is_dead(node.rank()) || !node.configured()) continue;
+    for (rank_t r = 0; r < active_->num_ranks(); ++r) {
+      const RankPlan& rp = active_->rank_plan(r);
+      // Hierarchical members carry no per-layer sizes; only union-holding
+      // ranks (flat ranks, host leaders) enter the Prop 4.1 averages.
+      if (!rp.configured || engine_->is_dead(r) ||
+          rp.out_sizes.size() != mean.size()) {
+        continue;
+      }
       ++alive;
       for (std::uint16_t i = 0; i <= topo_.num_layers(); ++i) {
-        mean[i] += static_cast<double>(node.out_set(i).size());
+        mean[i] += static_cast<double>(rp.out_sizes[i]);
       }
     }
     if (alive > 0) {
       for (double& v : mean) v /= static_cast<double>(alive);
     }
     return mean;
-  }
-
-  /// Feed the next compile() measured per-layer densities from a previous
-  /// epoch (same l+1 shape as measured_layer_elements()): the union-kernel
-  /// autotune then sizes itself from observed survivor volumes instead of
-  /// the fresh pass's own measurement. One-shot — consumed by the next
-  /// compile, cleared afterwards. The EpochedPlanManager uses this to carry
-  /// the old epoch's measurements into the healed plan.
-  void set_layer_density_hints(std::vector<double> mean_elements) {
-    layer_hints_ = std::move(mean_elements);
   }
 
   /// What the last completed run lost, if anything (core/degraded.hpp).
@@ -346,27 +292,17 @@ class SparseAllreduce {
       std::sort(rep.inputs_lost.begin(), rep.inputs_lost.end());
       prune_ranges(rep.degraded_ranges);
       // Requested indices that resolved to no surviving contributor, per
-      // alive requester and globally (sorted, deduplicated). Per-rank state
-      // comes from the nodes when they exist, from the adopted plan's
-      // frozen copies otherwise.
-      const bool from_plan = nodes_.empty() && plan_ != nullptr;
+      // alive requester and globally (sorted, deduplicated), read off the
+      // active plan.
       const rank_t m = topo_.num_machines();
-      const auto rank_configured = [&](rank_t r) {
-        return from_plan ? plan_->rank_plan(r).configured
-                         : (r < nodes_.size() && nodes_[r].configured());
-      };
-      const auto rank_missing =
-          [&](rank_t r) -> const std::vector<key_t>& {
-        return from_plan ? plan_->rank_plan(r).missing_bottom
-                         : nodes_[r].missing_bottom_keys();
-      };
-      const auto rank_in0 = [&](rank_t r) -> const KeySet& {
-        return from_plan ? plan_->rank_plan(r).in0 : nodes_[r].in_set(0);
+      const auto covered = [&](rank_t r) {
+        return active_ != nullptr && !engine_->is_dead(r) &&
+               active_->rank_plan(r).configured;
       };
       rep.lost_keys_per_rank.resize(m);
       for (rank_t r = 0; r < m; ++r) {
-        if (engine_->is_dead(r) || !rank_configured(r)) continue;
-        for (const key_t key : rank_missing(r)) {
+        if (!covered(r)) continue;
+        for (const key_t key : active_->rank_plan(r).missing_bottom) {
           rep.lost_keys.push_back(key);
         }
       }
@@ -375,8 +311,8 @@ class SparseAllreduce {
           std::unique(rep.lost_keys.begin(), rep.lost_keys.end()),
           rep.lost_keys.end());
       for (rank_t r = 0; r < m; ++r) {
-        if (engine_->is_dead(r) || !rank_configured(r)) continue;
-        const KeySet& in0 = rank_in0(r);
+        if (!covered(r)) continue;
+        const KeySet& in0 = active_->rank_plan(r).in0;
         for (std::size_t p = 0; p < in0.size(); ++p) {
           const key_t key = in0[p];
           if (rep.covers(key) ||
@@ -395,7 +331,7 @@ class SparseAllreduce {
 
   /// Hierarchical compile (DESIGN §13). The shared-memory tier is compiled
   /// here: per-host unions of the alive members' {in, out} sets, whose
-  /// piece->union positional maps from union_into ARE the intra-stage
+  /// piece->union positional maps from tree_merge_into ARE the intra-stage
   /// scatter/gather maps. The inter-node butterfly is then the ordinary
   /// flat configuration pass over host leaders (canonical rank host*c)
   /// holding those unions — config rounds are gated to leaders, so the wire
@@ -409,7 +345,6 @@ class SparseAllreduce {
     KYLIX_CHECK(in_sets.size() == m && out_sets.size() == m);
     const std::uint64_t fp =
         salt_fingerprint(fingerprint_key_sets(in_sets, out_sets));
-    mode_ = Mode::kNone;
     const rank_t hosts = topo_.num_hosts();
     const std::uint32_t c = topo_.cores_per_machine();
 
@@ -436,7 +371,7 @@ class SparseAllreduce {
       for (const rank_t r : ih.members) {
         member_keys.push_back(out_sets[r].keys());
       }
-      union_into(member_keys, host_union, merge_scratch);
+      tree_merge_into(member_keys, host_union, merge_scratch);
       ih.out_maps = std::move(host_union.maps);
       ih.out_union_size = host_union.keys.size();
       node_out[canonical] =
@@ -445,7 +380,7 @@ class SparseAllreduce {
       for (const rank_t r : ih.members) {
         member_keys.push_back(in_sets[r].keys());
       }
-      union_into(member_keys, host_union, merge_scratch);
+      tree_merge_into(member_keys, host_union, merge_scratch);
       ih.in_maps = std::move(host_union.maps);
       node_in[canonical] =
           KeySet::from_sorted_keys(std::vector<key_t>(host_union.keys));
@@ -474,24 +409,8 @@ class SparseAllreduce {
     }
 
     build_nodes(std::move(node_in), std::move(node_out));
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
-      run_round(Phase::kConfig, layer, &Node::config_produce,
-                &Node::config_consume);
-    }
-    finish_configure();
-    auto plan = std::make_shared<CollectivePlan>(topo_, fp);
-    for (const Node& node : nodes_) {
-      if (node.configured()) {
-        node.freeze_into(plan->mutable_rank_plan(node.rank()));
-      }
-    }
-    freeze_union_kernels(*plan);
-    plan->set_chunk_bytes(
-        chunk_bytes_ != 0
-            ? chunk_bytes_
-            : (net_ != nullptr
-                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
-                   : 0));
+    run_config_rounds();
+    std::shared_ptr<CollectivePlan> plan = take_node_plans(fp);
     for (rank_t h = 0; h < hosts; ++h) {
       const IntraHost& ih = intra[h];
       const std::vector<key_t>* host_missing =
@@ -522,10 +441,7 @@ class SparseAllreduce {
     }
     plan->set_intra_hosts(std::move(intra));
     plan_ = std::move(plan);
-    if (plan_->any_configured()) {
-      executor_.bind(engine_, plan_, compute_, net_);
-      mode_ = Mode::kPlan;
-    }
+    activate(plan_, /*combined=*/false);
     return plan_;
   }
 
@@ -535,6 +451,8 @@ class SparseAllreduce {
     // Nodes are rebuilt per configure/reduce_with_config call, but their
     // working storage persists here, so repeated minibatch steps reuse
     // warmed buffers instead of re-allocating every letter and union.
+    // Until the new pass completes there is no plan to replay.
+    active_.reset();
     nodes_.clear();
     if (scratch_.size() < m) scratch_.resize(m);
     nodes_.reserve(m);
@@ -544,23 +462,22 @@ class SparseAllreduce {
     }
   }
 
-  void load_values(std::vector<std::vector<V>> out_values) {
-    KYLIX_CHECK(out_values.size() == nodes_.size());
-    for (rank_t r = 0; r < nodes_.size(); ++r) {
-      // Recovery-capable engines price group deaths by input mass Σ|v|.
-      if constexpr (std::is_arithmetic_v<V> &&
-                    requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
-        double mass = 0.0;
-        for (const V& v : out_values[r]) {
-          mass += std::abs(static_cast<double>(v));
-        }
-        engine_->note_input_mass(r, mass);
-      }
-      nodes_[r].begin_reduce(std::move(out_values[r]));
+  /// Recovery-capable engines price group deaths by input mass Σ|v|.
+  void note_input_mass(rank_t r, const std::vector<V>& values) {
+    if constexpr (std::is_arithmetic_v<V> &&
+                  requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
+      double mass = 0.0;
+      for (const V& v : values) mass += std::abs(static_cast<double>(v));
+      engine_->note_input_mass(r, mass);
     }
   }
 
-  void finish_configure() {
+  /// The configuration pass over the freshly built nodes: config rounds
+  /// 1..l, then finish_configure on every alive union-holding node.
+  void run_config_rounds() {
+    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
+      run_round(Phase::kConfig, layer);
+    }
     // A recovery-capable engine that already lost a whole replica group
     // switches surviving nodes to degraded completion: unresolvable
     // requested indices become identity instead of aborting the run.
@@ -581,27 +498,40 @@ class SparseAllreduce {
     }
   }
 
-  std::vector<std::vector<V>> run_up_pass() {
-    const std::uint16_t l = topo_.num_layers();
+  /// Move every configured node's RankPlan into a new plan (no copy).
+  [[nodiscard]] std::shared_ptr<CollectivePlan> take_node_plans(
+      std::uint64_t fingerprint) {
+    auto plan = std::make_shared<CollectivePlan>(topo_, fingerprint);
     for (Node& node : nodes_) {
-      if (engine_->is_dead(node.rank())) continue;
-      node.begin_up();
-      charge(Phase::kReduceDown, l, node);
+      if (node.configured()) {
+        plan->mutable_rank_plan(node.rank()) = node.take_plan();
+      }
     }
-    for (std::uint16_t layer = l; layer >= 1; --layer) {
-      run_round(Phase::kReduceUp, layer, &Node::up_produce,
-                &Node::up_consume);
-    }
-    std::vector<std::vector<V>> results(nodes_.size());
-    for (rank_t r = 0; r < nodes_.size(); ++r) {
-      if (!engine_->is_dead(r)) results[r] = nodes_[r].take_result();
-    }
-    return results;
+    plan->set_chunk_bytes(
+        chunk_bytes_ != 0
+            ? chunk_bytes_
+            : (net_ != nullptr
+                   ? static_cast<std::uint64_t>(net_->min_efficient_packet())
+                   : 0));
+    return plan;
   }
 
-  template <typename ProduceFn, typename ConsumeFn>
-  void run_round(Phase phase, std::uint16_t layer, ProduceFn produce,
-                 ConsumeFn consume) {
+  /// Make `plan` the one reduce() replays. `combined` records that values
+  /// rode its config letters (reduce_with_config), which changes how death
+  /// records map to key ranges and keeps reduce_strided() off it.
+  void activate(std::shared_ptr<const CollectivePlan> plan, bool combined) {
+    active_ = std::move(plan);
+    combined_ = combined;
+    if (active_->any_configured()) {
+      executor_.bind(engine_, active_, compute_, net_);
+    }
+  }
+
+  [[nodiscard]] bool replayable() const {
+    return active_ != nullptr && active_->any_configured();
+  }
+
+  void run_round(Phase phase, std::uint16_t layer) {
     // Hierarchical topologies exchange between host leaders only: the other
     // cores of a host hold no per-layer routing state (their unions live at
     // the leader), so they neither produce, expect, nor consume letters.
@@ -612,7 +542,7 @@ class SparseAllreduce {
         // shells; expected hands out the cached group (no copies per round).
         [&](rank_t r) -> std::vector<Letter<V>>& {
           if (gate && !topo_.is_leader(r)) return empty_letters_;
-          return (nodes_[r].*produce)(layer);
+          return nodes_[r].config_produce(layer);
         },
         [&](rank_t r) -> const std::vector<rank_t>& {
           if (gate && !topo_.is_leader(r)) return empty_ranks_;
@@ -620,7 +550,7 @@ class SparseAllreduce {
         },
         [&](rank_t r, std::vector<Letter<V>>&& inbox) {
           if (gate && !topo_.is_leader(r)) return;
-          (nodes_[r].*consume)(layer, std::move(inbox));
+          nodes_[r].config_consume(layer, std::move(inbox));
           charge(phase, layer, nodes_[r]);
         });
   }
@@ -639,7 +569,7 @@ class SparseAllreduce {
   /// inputs_lost, not by a range).
   [[nodiscard]] std::uint16_t record_node_layer(const DeathRecord& d) const {
     if (d.phase == Phase::kReduceUp) return d.layer;
-    if (d.phase == Phase::kConfig && mode_ != Mode::kCombined) return d.layer;
+    if (d.phase == Phase::kConfig && !combined_) return d.layer;
     return std::max<std::uint16_t>(d.layer, 2) - 1;
   }
 
@@ -667,28 +597,6 @@ class SparseAllreduce {
       if (fp == 0) fp = 1;
     }
     return fp;
-  }
-
-  /// Freeze the union-kernel choices the configuration pass dispatched
-  /// with, sized by the measured per-layer union volume (autotune's
-  /// union_kernel_plan — the same heuristic union_into consults). A pending
-  /// density hint (set_layer_density_hints) overrides the fresh measurement.
-  void freeze_union_kernels(CollectivePlan& plan) {
-    const std::uint16_t l = topo_.num_layers();
-    if (l == 0 || nodes_.empty()) return;
-    std::vector<double> mean;
-    if (layer_hints_.size() == static_cast<std::size_t>(l) + 1) {
-      mean = std::move(layer_hints_);
-    } else {
-      mean = measured_layer_elements();
-    }
-    layer_hints_.clear();
-    // Elements entering communication layer i — what one node unions there.
-    std::vector<double> layer_elements(l, 0.0);
-    for (std::uint16_t i = 1; i <= l; ++i) {
-      layer_elements[i - 1] = mean[i - 1];
-    }
-    plan.set_union_kernels(union_kernel_plan(topo_, layer_elements));
   }
 
   /// True iff `inner` ⊆ `outer` (hi == 0 with lo != 0 means "up to 2^64").
@@ -734,22 +642,20 @@ class SparseAllreduce {
     engine_->charge_compute(phase, layer, node.rank(), seconds);
   }
 
-  /// How the allreduce was last configured: plan-based configurations
-  /// replay through the executor; combined mode re-reduces the nodes.
-  enum class Mode { kNone, kPlan, kCombined };
-
   Engine* engine_;
   Topology topo_;
   const ComputeModel* compute_;
   const NetworkModel* net_ = nullptr;  ///< chunk-size compiler input
   std::uint64_t chunk_bytes_ = 0;      ///< tuning override (0 = compiled)
-  std::vector<double> layer_hints_;    ///< one-shot measured-density carry
-  Mode mode_ = Mode::kNone;
   std::vector<Node> nodes_;
   std::vector<Letter<V>> empty_letters_;  ///< hierarchical non-leader rounds
   std::vector<rank_t> empty_ranks_;
   std::vector<NodeScratch<V>> scratch_;  ///< per-rank, survives build_nodes
-  std::shared_ptr<const CollectivePlan> plan_;
+  std::shared_ptr<const CollectivePlan> plan_;    ///< what plan() returns
+  /// The plan reduce() replays: plan_, or the private plan of the last
+  /// reduce_with_config(). Per-rank introspection reads it too.
+  std::shared_ptr<const CollectivePlan> active_;
+  bool combined_ = false;  ///< active_ came from reduce_with_config()
   ReduceExecutor<V, Op, Engine> executor_;
 };
 

@@ -2,13 +2,17 @@
 //
 // The executor is the mutable half of the plan/executor split: it binds an
 // engine and per-rank value buffers to an immutable plan and replays the
-// frozen schedule. A replayed reduce touches no routing state — no nodes are
-// rebuilt, no sets are unioned, no splits recomputed — and performs the
-// exact same kernel calls in the exact same order as the node-driven path
-// (slice by out_split, scatter_combine by out_maps in ascending sender
-// digit, bottom gather by bottom_map, gather by in_maps, concatenate by
-// in_split), so results, traces, and modeled timing are bit-identical to
-// configure()+reduce() on every engine.
+// frozen schedule (slice by out_split, scatter_combine by out_maps in
+// ascending sender digit, bottom gather by bottom_map, gather by in_maps,
+// concatenate by in_split). A replayed reduce touches no routing state — no
+// nodes are rebuilt, no sets are unioned, no splits recomputed — so results,
+// traces, and modeled timing are bit-identical on every engine.
+//
+// It is the only driver of value rounds. reduce()/reduce_strided() replay
+// both halves; reduce_from_bottom() replays only the allgather, for the
+// combined configure+reduce of minibatch mode, whose scatter-reduce already
+// rode the config letters (core/node.hpp). Both share one tail
+// (finish_replay), so the upward pass is the same code either way.
 //
 // The per-rank kernels live in core/replay_node.hpp (ReplayOps), shared
 // with the async resumable path (core/async_executor.hpp): this class is
@@ -35,11 +39,11 @@
 // letter/stream buffer envelopes are accumulated into StreamStats; the
 // pipelining payoff is priced by TimingAccumulator::pipelined_reduce_time.
 //
-// Allocation discipline: per-rank ReplayScratch mirrors NodeScratch's buffer
-// economy (letter shells per layer, recycled value pools, ping-pong
-// merge/below buffers, pooled block-watermark scratch), so warm replays —
-// streamed or not — allocate nothing in the rounds and stay within the same
-// m+1 API-boundary budget as the node path (tests/core/alloc_test).
+// Allocation discipline: per-rank ReplayScratch holds letter shells per
+// layer, recycled value pools, ping-pong merge/below buffers, and pooled
+// block-watermark scratch, so warm replays — streamed or not — allocate
+// nothing in the rounds; the only allocations are the m+1 result buffers
+// that leave with the caller (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -88,11 +92,25 @@ class ReduceExecutor {
     net_ = net;
     if (plan_ == plan) return;
     plan_ = std::move(plan);
-    const std::uint16_t l = plan_->topology().num_layers();
-    if (state_.size() < plan_->num_ranks()) state_.resize(plan_->num_ranks());
+    reserve(plan_->num_ranks(), plan_->topology().num_layers());
+  }
+
+  /// Size the per-rank scratch for `ranks` ranks and `layers` layers.
+  /// Scratch only ever grows, so references from scratch() stay valid
+  /// across later binds of plans no larger.
+  void reserve(rank_t ranks, std::uint16_t layers) {
+    if (state_.size() < ranks) state_.resize(ranks);
     for (ReplayScratch<V>& s : state_) {
-      if (s.letters.size() < l) s.letters.resize(l);
+      if (s.letters.size() < layers) s.letters.resize(layers);
     }
+  }
+
+  /// Rank r's value scratch (after reserve() or bind()). The combined
+  /// configure+reduce lets its nodes carry values in it; see
+  /// reduce_from_bottom().
+  [[nodiscard]] ReplayScratch<V>& scratch(rank_t r) {
+    KYLIX_CHECK(r < state_.size());
+    return state_[r];
   }
 
   [[nodiscard]] bool bound() const { return plan_ != nullptr; }
@@ -149,38 +167,17 @@ class ReduceExecutor {
     const std::uint64_t chunk_bytes = chunk_bytes_override_ != 0
                                           ? chunk_bytes_override_
                                           : plan_->chunk_bytes();
-    ctx_.plan = plan_.get();
-    ctx_.stride = stride;
-    ctx_.chunk_positions =
-        streaming_ && chunk_bytes != 0
-            ? std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         chunk_bytes / (sizeof(V) * std::uint64_t{stride})))
-            : 0;
-    stream_stats_ = StreamStats{};
-    stream_stats_.streamed = ctx_.chunk_positions != 0;
-    stream_stats_.chunk_bytes =
-        ctx_.chunk_positions == 0
-            ? 0
-            : std::uint64_t{ctx_.chunk_positions} * sizeof(V) * stride;
-    double replay_start_us = 0;
-    round_blocks_flushed_ = 0;
-    round_peak_stream_bytes_ = 0;
-    if (recorder_ != nullptr) {
-      replay_start_us = recorder_->now_us();
-      obs::FlightEvent e;
-      e.kind = obs::FlightEventKind::kReplayBegin;
-      e.value = ctx_.stride;
-      e.bytes = plan_->fingerprint();
-      recorder_->record(e);
-    }
-    const Topology& topo = plan_->topology();
-    const std::uint16_t l = topo.num_layers();
-    for (ReplayScratch<V>& s : state_) s.stream = StreamStats{};
+    begin_replay(stride,
+                 streaming_ && chunk_bytes != 0
+                     ? std::max<std::size_t>(
+                           1, static_cast<std::size_t>(
+                                  chunk_bytes /
+                                  (sizeof(V) * std::uint64_t{stride})))
+                     : 0);
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       // Recovery-capable engines price group deaths by input mass; noted
-      // for dead and unconfigured ranks too, exactly as the node path's
-      // load_values does — a dead-from-start group's mass IS the loss.
+      // for dead and unconfigured ranks too — a dead-from-start group's
+      // mass IS the loss.
       if constexpr (std::is_arithmetic_v<V> &&
                     requires(Engine& e) { e.note_input_mass(r, 0.0); }) {
         double mass = 0.0;
@@ -189,17 +186,10 @@ class ReduceExecutor {
         }
         engine_->note_input_mass(r, mass);
       }
-      const RankPlan& rp = plan_->rank_plan(r);
-      if (!rp.configured) {
-        // A rank the plan does not cover died during compilation; it can
-        // only replay if it is still dead (same FaultPlan semantics as the
-        // node path, where an unconfigured node never produces).
-        KYLIX_CHECK_MSG(engine_->is_dead(r),
-                        "alive rank not covered by the bound plan");
-        continue;
-      }
-      KYLIX_CHECK_MSG(out_values[r].size() == rp.out0_size * ctx_.stride,
-                      "contribution length does not match plan out set");
+      if (!covers(r)) continue;
+      KYLIX_CHECK_MSG(
+          out_values[r].size() == plan_->rank_plan(r).out0_size * ctx_.stride,
+          "contribution length does not match plan out set");
       Ops::load_input(state_[r], out_values[r]);
     }
     // Hierarchical plans (DESIGN §13) bracket the inter-node butterfly with
@@ -209,11 +199,68 @@ class ReduceExecutor {
     // carry no layers), so the wire schedule between the intra stages is
     // exactly the flat schedule over host leaders.
     if (plan_->hierarchical()) intra_down();
-    for (std::uint16_t layer = 1; layer <= l; ++layer) {
+    for (std::uint16_t layer = 1; layer <= plan_->topology().num_layers();
+         ++layer) {
       run_round(Phase::kReduceDown, layer, /*down=*/true);
       collect_spent();
       record_stream_round(Phase::kReduceDown, layer);
     }
+    return finish_replay();
+  }
+
+  /// The allgather half alone, for combined configure+reduce (§III
+  /// minibatch mode): the scatter-reduce already rode the config letters,
+  /// whose nodes left each covered rank's fully reduced bottom values
+  /// (aligned with its out^l) in scratch(r).v, so only begin_up and the up
+  /// rounds replay. Stride 1, letter-at-once.
+  [[nodiscard]] std::vector<std::vector<V>> reduce_from_bottom() {
+    KYLIX_CHECK(bound());
+    begin_replay(1, 0);
+    for (rank_t r = 0; r < plan_->num_ranks(); ++r) (void)covers(r);
+    return finish_replay();
+  }
+
+ private:
+  using Ops = ReplayOps<V, Op>;
+
+  /// Freeze the replay context for one reduce and open its telemetry.
+  void begin_replay(std::uint32_t stride, std::size_t chunk_positions) {
+    ctx_.plan = plan_.get();
+    ctx_.stride = stride;
+    ctx_.chunk_positions = chunk_positions;
+    stream_stats_ = StreamStats{};
+    stream_stats_.streamed = chunk_positions != 0;
+    stream_stats_.chunk_bytes =
+        chunk_positions == 0
+            ? 0
+            : std::uint64_t{chunk_positions} * sizeof(V) * stride;
+    round_blocks_flushed_ = 0;
+    round_peak_stream_bytes_ = 0;
+    if (recorder_ != nullptr) {
+      replay_start_us_ = recorder_->now_us();
+      obs::FlightEvent e;
+      e.kind = obs::FlightEventKind::kReplayBegin;
+      e.value = ctx_.stride;
+      e.bytes = plan_->fingerprint();
+      recorder_->record(e);
+    }
+    for (ReplayScratch<V>& s : state_) s.stream = StreamStats{};
+  }
+
+  /// True iff the bound plan covers rank r. A rank it does not cover died
+  /// during compilation; it may only replay if it is still dead (an
+  /// unconfigured rank never produces).
+  [[nodiscard]] bool covers(rank_t r) const {
+    if (plan_->rank_plan(r).configured) return true;
+    KYLIX_CHECK_MSG(engine_->is_dead(r),
+                    "alive rank not covered by the bound plan");
+    return false;
+  }
+
+  /// The shared tail of every replay: bottom gather, the allgather rounds
+  /// l..1, the intra-node fan-out, and the per-rank results.
+  [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
+    const std::uint16_t l = plan_->topology().num_layers();
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
       const RankPlan& rp = plan_->rank_plan(r);
       // Hierarchical members hold no per-layer state: only union-holding
@@ -243,15 +290,12 @@ class ReduceExecutor {
     if (recorder_ != nullptr) {
       obs::FlightEvent e;
       e.kind = obs::FlightEventKind::kReplayEnd;
-      e.value = (recorder_->now_us() - replay_start_us) * 1e-6;
+      e.value = (recorder_->now_us() - replay_start_us_) * 1e-6;
       e.bytes = plan_->fingerprint();
       recorder_->record(e);
     }
     return results;
   }
-
- private:
-  using Ops = ReplayOps<V, Op>;
 
   /// Engines that can run the hierarchical shared-memory stage expose
   /// intra_round/charge_intra (all engines in src/comm do); a foreign
@@ -467,11 +511,12 @@ class ReduceExecutor {
   std::vector<rank_t> empty_ranks_;
   bool streaming_ = false;
   std::uint64_t chunk_bytes_override_ = 0;
-  /// The replay context handed to every kernel call; frozen at the top of
-  /// reduce_strided (plan pointer, stride, chunk schedule).
+  /// The replay context handed to every kernel call; frozen by
+  /// begin_replay (plan pointer, stride, chunk schedule).
   ReplayContext ctx_;
   StreamStats stream_stats_;
   obs::FlightRecorder* recorder_ = nullptr;
+  double replay_start_us_ = 0;  ///< flight-recorder clock at kReplayBegin
   std::uint64_t round_blocks_flushed_ = 0;   ///< reduce-so-far flush total
   std::uint64_t round_peak_stream_bytes_ = 0;  ///< reduce-so-far watermark
   std::vector<ReplayScratch<V>> state_;

@@ -10,8 +10,9 @@
 // replay it across iterations) and value-type independent: the same plan
 // drives float and double reduces alike.
 //
-// Plans are produced by SparseAllreduce::compile() (which runs the ordinary
-// configuration rounds and then freezes the nodes) and consumed by
+// Plans are produced by SparseAllreduce::compile(), whose configuration
+// rounds build each rank's RankPlan inside its KylixNode and then move it
+// into the plan (no copy), and consumed by
 // ReduceExecutor (core/executor.hpp), which binds value buffers to a plan
 // and replays the schedule without touching any routing state. PlanCache
 // (core/plan_cache.hpp) keys plans by fingerprint so recurring minibatch
@@ -27,14 +28,13 @@
 #include "cluster/trace.hpp"
 #include "common/types.hpp"
 #include "core/topology.hpp"
-#include "sparse/kernels/kernels.hpp"
 #include "sparse/key_set.hpp"
 #include "sparse/merge.hpp"
 
 namespace kylix {
 
-/// Frozen per-communication-layer routing state of one rank (the LayerCfg a
-/// KylixNode derives during configuration, minus anything mutable).
+/// Per-communication-layer routing state of one rank, filled in by its
+/// KylixNode during configuration and frozen once the plan is shared.
 struct PlanLayer {
   std::vector<rank_t> group;             ///< members == expected senders
   std::vector<std::size_t> in_split;     ///< piece boundaries of in^{i-1}
@@ -141,16 +141,6 @@ class CollectivePlan {
   [[nodiscard]] std::uint64_t chunk_bytes() const { return chunk_bytes_; }
   void set_chunk_bytes(std::uint64_t bytes) { chunk_bytes_ = bytes; }
 
-  /// Union kernel frozen per communication layer at compile time (the
-  /// autotune choice the configuration pass actually ran with).
-  [[nodiscard]] const std::vector<kernels::UnionKernel>& union_kernels()
-      const {
-    return union_kernels_;
-  }
-  void set_union_kernels(std::vector<kernels::UnionKernel> kernels) {
-    union_kernels_ = std::move(kernels);
-  }
-
   /// Intra-node tier of a hierarchical plan, one entry per host (empty for
   /// flat plans). Set once by the compiler before the plan is shared.
   [[nodiscard]] bool hierarchical() const { return !intra_.empty(); }
@@ -188,7 +178,6 @@ class CollectivePlan {
   std::uint64_t chunk_bytes_ = 0;
   std::vector<RankPlan> ranks_;
   std::vector<IntraHost> intra_;  ///< per host; empty for flat plans
-  std::vector<kernels::UnionKernel> union_kernels_;
 };
 
 /// Order- and role-sensitive fingerprint of per-rank {in, out} key sets:

@@ -1,20 +1,23 @@
-// Shared per-rank replay kernels for compiled CollectivePlans.
+// The per-rank value-round kernels: the single definition of what one rank
+// does at one layer of a reduce.
 //
-// ReduceExecutor (core/executor.hpp) and the async resumable path
-// (core/async_node.hpp + core/async_executor.hpp) replay the same frozen
-// schedule; this header is the single definition of what one rank does at
-// one layer — slice by out_split, scatter_combine by out_maps in ascending
-// sender digit, bottom gather, gather by in_maps — plus the chunk framing
-// (DESIGN §9) and the buffer economy both drivers share. Because every
-// driver funnels through these kernels with the same (src, chunk)-sorted
-// inboxes, async multi-stream replay is bit-identical to serial replay by
-// construction, not by test alone (the fuzz suite then asserts it anyway).
+// Every value round in the library runs through these kernels: the serial
+// ReduceExecutor (core/executor.hpp, which also finishes the combined
+// configure+reduce of minibatch mode) and the async resumable path
+// (core/async_node.hpp + core/async_executor.hpp). At one layer a rank
+// slices by out_split, scatter_combines by out_maps in ascending sender
+// digit, gathers the bottom, and gathers by in_maps; on top sit the chunk
+// framing (DESIGN §9) and the buffer economy all drivers share. Because
+// every driver funnels through these kernels with the same (src, chunk)-
+// sorted inboxes, async multi-stream replay is bit-identical to serial
+// replay by construction, not by test alone (the fuzz suite then asserts
+// it anyway).
 //
-// ReplayScratch mirrors NodeScratch's buffer discipline: letter shells per
-// layer, recycled value pools, ping-pong merge/below buffers, pooled
-// block-watermark scratch, and the spent list that returns consumed buffers
-// to their sender's pool at a quiescent point. Warm replays allocate
-// nothing inside the rounds (tests/core/alloc_test).
+// ReplayScratch holds the buffers: letter shells per layer, recycled value
+// pools, ping-pong merge/below buffers, pooled block-watermark scratch, and
+// the spent list that returns consumed buffers to their sender's pool at a
+// quiescent point. Warm replays allocate nothing inside the rounds
+// (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -23,12 +26,20 @@
 #include <vector>
 
 #include "comm/packet.hpp"
-#include "core/node.hpp"  // NodeWork + the kernels the replay must mirror
 #include "core/plan.hpp"
 #include "core/stream_stats.hpp"
 #include "sparse/ops.hpp"
 
 namespace kylix {
+
+/// Modeled local work performed since the last charge; the orchestrator
+/// converts it to seconds via ComputeModel.
+struct NodeWork {
+  double merge_elements = 0;
+  std::uint32_t merge_ways = 1;
+  double combine_elements = 0;
+  double gather_elements = 0;
+};
 
 /// Everything a replay kernel needs to know about the reduce in flight.
 /// Frozen at the top of a reduce (serial) or at stream admission (async);
@@ -41,7 +52,10 @@ struct ReplayContext {
   std::size_t chunk_positions = 0;
 };
 
-/// Mutable per-rank replay state; same buffer economy as NodeScratch.
+/// Mutable per-rank value state. In minibatch mode the rank's KylixNode
+/// carries its contribution down the config rounds in the same `v`,
+/// `merged` and `value_pool`, so the allgather starts from the bottom
+/// buffer the node leaves in `v`.
 template <typename V>
 struct ReplayScratch {
   std::vector<std::vector<Letter<V>>> letters;  ///< per comm layer shells
@@ -193,8 +207,10 @@ struct ReplayOps {
   static void begin_up(const ReplayContext& ctx, ReplayScratch<V>& s,
                        rank_t r) {
     const RankPlan& rp = ctx.plan->rank_plan(r);
-    KYLIX_DCHECK(s.v.size() ==
-                 rp.out_sizes[ctx.plan->topology().num_layers()] * ctx.stride);
+    KYLIX_CHECK_MSG(
+        s.v.size() ==
+            rp.out_sizes[ctx.plan->topology().num_layers()] * ctx.stride,
+        "bottom buffer does not match the planned bottom out set");
     refill(s.value_pool, s.vin);
     s.vin.reserve(std::max(rp.up_capacity, rp.bottom_map.size()) * ctx.stride);
     if (rp.missing_bottom.empty()) {

@@ -4,8 +4,6 @@
 #include <array>
 #include <cstring>
 
-#include "sparse/kernels/kernels.hpp"
-
 namespace kylix::kernels {
 
 namespace {
@@ -13,6 +11,9 @@ namespace {
 constexpr std::size_t kRadixBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
 constexpr std::size_t kPasses = 64 / kRadixBits;
+/// Below this many keys, std::sort beats the 8-pass LSD radix sort
+/// (histogram + ping-pong setup dominates at small n).
+constexpr std::size_t kRadixMinKeys = 512;
 
 /// Standard stable LSD distribution pass: src -> dst ordered by the digit at
 /// `shift`, using the precomputed histogram `count`.
@@ -73,7 +74,7 @@ std::size_t distribute_dedup(const key_t* src, key_t* dst, std::size_t n,
 
 void radix_sort_dedup(std::vector<key_t>& keys, std::vector<key_t>& scratch) {
   const std::size_t n = keys.size();
-  if (n < kernel_tuning().radix_min_keys) {
+  if (n < kRadixMinKeys) {
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     return;

@@ -5,11 +5,14 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "sparse/kernels/kernels.hpp"
 
 namespace kylix {
 
 namespace {
+
+/// merge_union_into switches to galloping (exponential search + bulk copy)
+/// when one input is at least this many times the other.
+constexpr std::size_t kGallopRatio = 8;
 
 /// Append src[lo, hi) to the union in one bulk copy (vector::insert lowers
 /// to memmove) and fill the matching map entries with consecutive union
@@ -68,12 +71,11 @@ void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
   map_a.resize(a.size());
   map_b.resize(b.size());
 
-  const std::size_t ratio = kernels::kernel_tuning().gallop_ratio;
-  if (a.size() >= ratio * b.size()) {
+  if (a.size() >= kGallopRatio * b.size()) {
     gallop_union(a, b, keys, map_a, map_b);
     return;
   }
-  if (b.size() >= ratio * a.size()) {
+  if (b.size() >= kGallopRatio * a.size()) {
     gallop_union(b, a, keys, map_b, map_a);
     return;
   }
@@ -176,18 +178,6 @@ void tree_merge_into(std::span<const std::span<const key_t>> inputs,
     ++level;
   }
   std::swap(out.keys, scratch.runs[level & 1][0]);
-}
-
-void union_into(std::span<const std::span<const key_t>> inputs,
-                UnionResult& out, MergeScratch& scratch) {
-  std::size_t total = 0;
-  for (const auto& in : inputs) total += in.size();
-  if (kernels::choose_union_kernel(inputs.size(), total) ==
-      kernels::UnionKernel::kKWay) {
-    kernels::kway_merge_into(inputs, out, scratch.kway);
-  } else {
-    tree_merge_into(inputs, out, scratch);
-  }
 }
 
 UnionResult tree_merge(std::span<const std::span<const key_t>> inputs) {

@@ -13,9 +13,7 @@
 //    reusable run buffers with a caller-suppliable MergeScratch: repeated
 //    unions of same-shaped inputs (minibatch SGD, one union per node per
 //    layer per step) stop touching the allocator once capacities warm up.
-//  * kway_merge_into (kernels/kway_merge.hpp) — single-pass loser-tree
-//    union, preferred for high fan-in; union_into dispatches between the two
-//    by the kernels::choose_union_kernel size heuristic.
+//    It is the only union the library runs.
 //  * hash_union — the hash-table alternative, kept as a measurable baseline
 //    for bench/micro_merge.
 #pragma once
@@ -23,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "sparse/kernels/kway_merge.hpp"
 #include "sparse/key_set.hpp"
 
 namespace kylix {
@@ -47,7 +44,6 @@ struct MergeScratch {
   std::vector<std::vector<key_t>> runs[2];  ///< ping-pong key runs per level
   PosMap map_a;                             ///< 2-way merge temporaries
   PosMap map_b;
-  kernels::KWayScratch kway;  ///< loser-tree storage for union_into's k-way path
 };
 
 /// Union of two strictly-sorted sequences into caller-owned buffers:
@@ -67,11 +63,11 @@ UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b);
 void tree_merge_into(std::span<const std::span<const key_t>> inputs,
                      UnionResult& out, MergeScratch& scratch);
 
-/// Union of k strictly-sorted sequences, dispatching between the binary
-/// merge cascade and the single-pass loser tree by input shape
-/// (kernels::choose_union_kernel) — the form the node hot paths use.
-void union_into(std::span<const std::span<const key_t>> inputs,
-                UnionResult& out, MergeScratch& scratch);
+/// Former name of tree_merge_into, kept as a forward for existing callers.
+inline void union_into(std::span<const std::span<const key_t>> inputs,
+                       UnionResult& out, MergeScratch& scratch) {
+  tree_merge_into(inputs, out, scratch);
+}
 
 /// Allocating convenience wrapper around tree_merge_into.
 UnionResult tree_merge(std::span<const std::span<const key_t>> inputs);

@@ -5,7 +5,9 @@
 #include <map>
 
 #include "comm/bsp.hpp"
+#include "comm/parallel.hpp"
 #include "core/allreduce.hpp"
+#include "core/replay_node.hpp"
 #include "test_util.hpp"
 
 namespace kylix {
@@ -125,6 +127,59 @@ TEST(KylixNode, CombinedModeProducesIdenticalResultsToSeparate) {
     combined = ar.reduce_with_config(w.in_sets, w.out_sets, w.out_values);
   }
   EXPECT_EQ(combined, separate);
+}
+
+/// reduce() after reduce_with_config() replays the plan the combined step's
+/// nodes built; it must match configure()+reduce() on the same sets bit for
+/// bit, over fresh values and repeated calls, without touching plan().
+template <typename Engine>
+void expect_rereduce_matches_separate(Engine& separate_engine,
+                                      Engine& combined_engine) {
+  const Topology topo({4, 2});
+  const auto w = random_workload<float>(topo.num_machines(), 120, 0.3, 0.4,
+                                        655);
+  auto fresh = w.out_values;
+  for (auto& values : fresh) {
+    for (float& v : values) v = v * 0.5f + 1.0f;
+  }
+  SparseAllreduce<float, OpSum, Engine> separate(&separate_engine, topo);
+  separate.configure(w.in_sets, w.out_sets);
+  SparseAllreduce<float, OpSum, Engine> combined(&combined_engine, topo);
+  EXPECT_EQ(combined.reduce_with_config(w.in_sets, w.out_sets, w.out_values),
+            separate.reduce(w.out_values));
+  for (int iter = 0; iter < 3; ++iter) {
+    EXPECT_EQ(combined.reduce(fresh), separate.reduce(fresh))
+        << "iteration " << iter;
+  }
+  EXPECT_EQ(combined.plan(), nullptr);
+}
+
+TEST(KylixNode, ReduceAfterCombinedMatchesSeparateOnBsp) {
+  BspEngine<float> separate(8);
+  BspEngine<float> combined(8);
+  expect_rereduce_matches_separate(separate, combined);
+}
+
+TEST(KylixNode, ReduceAfterCombinedMatchesSeparateOnParallelBsp) {
+  ParallelBspEngine<float> separate(8, 2);
+  ParallelBspEngine<float> combined(8, 2);
+  expect_rereduce_matches_separate(separate, combined);
+}
+
+TEST(KylixNode, BottomBufferOfTheWrongSizeIsRejected) {
+  // The combined path hands node-produced bottom buffers to the replay, so
+  // begin_up checks their length in release builds too.
+  Configured c({4, 2});
+  const auto plan = c.allreduce.plan();
+  const std::uint16_t l = c.topo.num_layers();
+  ReplayContext ctx;
+  ctx.plan = plan.get();
+  ReplayScratch<float> s;
+  s.v.assign(plan->rank_plan(0).out_sizes[l] + 1, 0.0f);
+  EXPECT_THROW((ReplayOps<float, OpSum>::begin_up(ctx, s, 0)), check_error);
+  s.v.pop_back();
+  ReplayOps<float, OpSum>::begin_up(ctx, s, 0);
+  EXPECT_EQ(s.vin.size(), plan->rank_plan(0).bottom_map.size());
 }
 
 TEST(KylixNode, CombinedModeSavesTheDownwardValuePass) {

@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/autotune.hpp"
-#include "sparse/kernels/kway_merge.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
 #include "sparse/merge.hpp"
@@ -95,7 +93,7 @@ TEST(RadixSort, WarmScratchIsReusedAcrossShrinkingCalls) {
   }
 }
 
-// --- k-way merge ------------------------------------------------------------
+// --- galloping pairwise merge ----------------------------------------------
 
 std::vector<key_t> random_sorted_unique(Rng& rng, std::size_t size,
                                         key_t universe) {
@@ -103,125 +101,6 @@ std::vector<key_t> random_sorted_unique(Rng& rng, std::size_t size,
   while (keys.size() < size) keys.insert(rng.below(universe));
   return std::vector<key_t>(keys.begin(), keys.end());
 }
-
-/// kway_merge_into must be indistinguishable from tree_merge_into: same
-/// union, same positional maps.
-void expect_kway_matches_tree(const std::vector<std::vector<key_t>>& inputs) {
-  std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-  UnionResult tree;
-  MergeScratch tree_scratch;
-  tree_merge_into(spans, tree, tree_scratch);
-  UnionResult kway;
-  kernels::KWayScratch kway_scratch;
-  kernels::kway_merge_into(spans, kway, kway_scratch);
-  EXPECT_EQ(kway.keys, tree.keys);
-  ASSERT_EQ(kway.maps.size(), tree.maps.size());
-  for (std::size_t i = 0; i < tree.maps.size(); ++i) {
-    EXPECT_EQ(kway.maps[i], tree.maps[i]) << "map " << i;
-  }
-}
-
-TEST(KWayMerge, DegenerateShapes) {
-  expect_kway_matches_tree({});
-  expect_kway_matches_tree({{}});
-  expect_kway_matches_tree({{5, 9}});
-  expect_kway_matches_tree({{}, {}, {}});
-  expect_kway_matches_tree({{1}, {}, {1}, {}});
-  expect_kway_matches_tree({{~key_t{0}}, {0, ~key_t{0}}});
-}
-
-TEST(KWayMerge, RandomizedFanInAndOverlap) {
-  Rng rng(201);
-  for (const std::size_t ways : {2u, 3u, 5u, 8u, 16u, 33u}) {
-    for (const key_t universe : {50u, 100000u}) {
-      std::vector<std::vector<key_t>> inputs;
-      for (std::size_t i = 0; i < ways; ++i) {
-        const std::size_t size = rng.below(200);
-        inputs.push_back(random_sorted_unique(
-            rng, std::min<std::size_t>(size, universe / 2 + 1), universe));
-      }
-      expect_kway_matches_tree(inputs);
-    }
-  }
-}
-
-TEST(KWayMerge, SkewedRunSizes) {
-  Rng rng(202);
-  std::vector<std::vector<key_t>> inputs;
-  inputs.push_back(random_sorted_unique(rng, 20000, 1u << 30));
-  for (int i = 0; i < 15; ++i) {
-    inputs.push_back(random_sorted_unique(rng, 20, 1u << 30));
-  }
-  expect_kway_matches_tree(inputs);
-}
-
-TEST(KWayMerge, WarmScratchSurvivesChangingFanIn) {
-  Rng rng(203);
-  kernels::KWayScratch scratch;
-  UnionResult out;
-  for (const std::size_t ways : {16u, 2u, 9u, 16u}) {
-    std::vector<std::vector<key_t>> inputs;
-    for (std::size_t i = 0; i < ways; ++i) {
-      inputs.push_back(random_sorted_unique(rng, 100, 4000));
-    }
-    std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-    kernels::kway_merge_into(spans, out, scratch);
-    const UnionResult expected = tree_merge(spans);
-    EXPECT_EQ(out.keys, expected.keys);
-    EXPECT_EQ(out.maps, expected.maps);
-  }
-}
-
-// --- dispatch heuristic -----------------------------------------------------
-
-TEST(UnionDispatch, HeuristicSelectsByFanInAndSize) {
-  const KernelTuning& t = kernel_tuning();
-  EXPECT_EQ(choose_union_kernel(2, 1 << 20), UnionKernel::kTree);
-  EXPECT_EQ(choose_union_kernel(t.kway_min_ways, t.kway_min_elements),
-            UnionKernel::kKWay);
-  EXPECT_EQ(choose_union_kernel(16, t.kway_min_elements - 1),
-            UnionKernel::kTree);
-}
-
-TEST(UnionDispatch, PlanCoversEveryLayer) {
-  const KernelTuning& t = kernel_tuning();
-  const Topology topo({16, 4, 2});
-  // Without an element estimate the plan assumes the threshold volume, so
-  // only the fan-in criterion discriminates.
-  const auto plan = union_kernel_plan(topo);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0], UnionKernel::kKWay);
-  EXPECT_EQ(plan[1], UnionKernel::kTree);
-  EXPECT_EQ(plan[2], UnionKernel::kTree);
-
-  // Explicit per-layer volumes flip a small high-fan-in layer back to the
-  // cascade; a big volume keeps the loser tree only where fan-in allows.
-  const double big = static_cast<double>(t.kway_min_elements);
-  const auto starved = union_kernel_plan(topo, std::vector<double>{16, 16, 16});
-  EXPECT_EQ(starved[0], UnionKernel::kTree);
-  const auto fed = union_kernel_plan(topo, std::vector<double>{big, big, big});
-  EXPECT_EQ(fed[0], UnionKernel::kKWay);
-  EXPECT_EQ(fed[1], UnionKernel::kTree);  // fan-in 4 < kway_min_ways
-}
-
-TEST(UnionDispatch, UnionIntoMatchesTreeMergeEitherWay) {
-  Rng rng(301);
-  for (const std::size_t ways : {2u, 4u, 16u}) {
-    std::vector<std::vector<key_t>> inputs;
-    for (std::size_t i = 0; i < ways; ++i) {
-      inputs.push_back(random_sorted_unique(rng, 300, 10000));
-    }
-    std::vector<std::span<const key_t>> spans(inputs.begin(), inputs.end());
-    UnionResult dispatched;
-    MergeScratch scratch;
-    union_into(spans, dispatched, scratch);
-    const UnionResult expected = tree_merge(spans);
-    EXPECT_EQ(dispatched.keys, expected.keys);
-    EXPECT_EQ(dispatched.maps, expected.maps);
-  }
-}
-
-// --- galloping pairwise merge ----------------------------------------------
 
 void expect_pairwise_union(const std::vector<key_t>& a,
                            const std::vector<key_t>& b) {

@@ -387,7 +387,7 @@ PYHIER
 # kill-group is confirmed dead, the EpochedPlanManager's re-plan on the
 # survivor set may cost at most 1.5x a cold configure on that same survivor
 # set (it runs the same config rounds plus the epoch bookkeeping — salted
-# fingerprints, density-hint capture, cache insert). The loop itself is the
+# fingerprints, cache insert). The loop itself is the
 # correctness gate: `kylix_cli heal` exits nonzero unless every healed
 # reduce is bit-identical to a fresh survivor configure and every rejoin
 # restores the cached epoch-0 plan.
