@@ -114,8 +114,10 @@ class ParallelBspEngine {
   /// arrived) since construction.
   [[nodiscard]] std::uint64_t dropped_messages() const { return dropped_; }
 
-  /// Outside a round (e.g. the begin_up charge) this forwards directly to
-  /// the accumulator; during the parallel consume half it buffers per rank.
+  /// During the parallel consume half this buffers per rank (the replay's
+  /// bottom-gather charge included: it rides the last down consume);
+  /// outside a round (e.g. the gather of a replay with no down round) it
+  /// forwards directly to the accumulator.
   void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
                       double seconds) {
     if (timing_ == nullptr) return;

@@ -71,8 +71,9 @@ class AsyncNode {
   };
 
   /// Rebind this node to a (stream, rank) replay. The caller has already
-  /// loaded the rank's contribution into scratch->v (ReplayOps::load_input)
-  /// and cleared scratch->stream.
+  /// handed the rank's contribution over as scratch->v (ReplayOps::load_input
+  /// adopts the submitted vector; nothing is copied) and cleared
+  /// scratch->stream.
   void reset(const ReplayContext* ctx, rank_t rank,
              ReplayScratch<V>* scratch) {
     ctx_ = ctx;

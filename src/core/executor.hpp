@@ -14,6 +14,15 @@
 // rode the config letters (core/node.hpp). Both share one tail
 // (finish_replay), so the upward pass is the same code either way.
 //
+// Per-rank work stays on the engine's workers. reduce_strided() adopts each
+// caller's contribution vector (ReplayOps::load_input swaps it in; no value
+// is copied), and the bottom gather (ReplayOps::begin_up) runs inside the
+// consume callback of the last down round, right after that consume and
+// charged to the same (kReduceDown, l, rank) slot — the placement AsyncNode
+// uses too. Only a replay with no down round to carry it —
+// reduce_from_bottom() and zero-layer topologies — gathers on the driving
+// thread (gather_bottom).
+//
 // The per-rank kernels live in core/replay_node.hpp (ReplayOps), shared
 // with the async resumable path (core/async_executor.hpp): this class is
 // only the round-barriered *driver* — it owns the per-rank ReplayScratch
@@ -41,9 +50,10 @@
 //
 // Allocation discipline: per-rank ReplayScratch holds letter shells per
 // layer, recycled value pools, ping-pong merge/below buffers, and pooled
-// block-watermark scratch, so warm replays — streamed or not — allocate
-// nothing in the rounds; the only allocations are the m+1 result buffers
-// that leave with the caller (tests/core/alloc_test).
+// block-watermark scratch, and the adopted input vectors join that
+// rotation, so warm replays — streamed or not — allocate only the m+1
+// result buffers that leave with the caller: the outer vector and each
+// rank's result, grown by its bottom gather (tests/core/alloc_test).
 #pragma once
 
 #include <algorithm>
@@ -205,6 +215,7 @@ class ReduceExecutor {
       collect_spent();
       record_stream_round(Phase::kReduceDown, layer);
     }
+    if (plan_->topology().num_layers() == 0) gather_bottom();
     return finish_replay();
   }
 
@@ -217,6 +228,7 @@ class ReduceExecutor {
     KYLIX_CHECK(bound());
     begin_replay(1, 0);
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) (void)covers(r);
+    gather_bottom();
     return finish_replay();
   }
 
@@ -257,20 +269,27 @@ class ReduceExecutor {
     return false;
   }
 
-  /// The shared tail of every replay: bottom gather, the allgather rounds
-  /// l..1, the intra-node fan-out, and the per-rank results.
-  [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
+  /// The bottom gather on the driving thread, for replays with no down
+  /// round whose consume could carry it (see run_round). Hierarchical
+  /// members hold no per-layer state: only union-holding ranks (flat ranks,
+  /// host leaders) gather.
+  void gather_bottom() {
     const std::uint16_t l = plan_->topology().num_layers();
     for (rank_t r = 0; r < plan_->num_ranks(); ++r) {
-      const RankPlan& rp = plan_->rank_plan(r);
-      // Hierarchical members hold no per-layer state: only union-holding
-      // ranks (flat ranks, host leaders) run the bottom gather.
-      if (engine_->is_dead(r) || !rp.configured || rp.layers.size() < l) {
+      if (engine_->is_dead(r) || !plan_->rank_plan(r).configured ||
+          sits_out(r, l)) {
         continue;
       }
       Ops::begin_up(ctx_, state_[r], r);
       charge(Phase::kReduceDown, l, r);
     }
+  }
+
+  /// The shared tail of every replay, once every bottom gather has run: the
+  /// allgather rounds l..1, the intra-node fan-out, and the per-rank
+  /// results.
+  [[nodiscard]] std::vector<std::vector<V>> finish_replay() {
+    const std::uint16_t l = plan_->topology().num_layers();
     for (std::uint16_t layer = l; layer >= 1; --layer) {
       run_round(Phase::kReduceUp, layer, /*down=*/false);
       collect_spent();
@@ -364,6 +383,14 @@ class ReduceExecutor {
             Ops::up_consume(ctx_, state_[r], r, layer, std::move(inbox));
           }
           charge(phase, layer, r);
+          if (down && layer == plan_->topology().num_layers()) {
+            // The bottom gather ends the rank's scatter-reduce on its own
+            // worker, before any crash at (kReduceUp, l) can fire. Its
+            // separate charge to the same slot keeps gather_bottom()'s
+            // per-slot addition order: consume charge, then gather charge.
+            Ops::begin_up(ctx_, state_[r], r);
+            charge(Phase::kReduceDown, layer, r);
+          }
         });
   }
 

@@ -16,7 +16,8 @@
 // ReplayScratch holds the buffers: letter shells per layer, recycled value
 // pools, ping-pong merge/below buffers, pooled block-watermark scratch, and
 // the spent list that returns consumed buffers to their sender's pool at a
-// quiescent point. Warm replays allocate nothing inside the rounds
+// quiescent point. Warm replays allocate nothing inside the rounds except
+// the result buffer begin_up grows, which leaves with the caller
 // (tests/core/alloc_test).
 #pragma once
 
@@ -102,12 +103,14 @@ struct ReplayOps {
     if (buf.capacity() > 0) pool.push_back(std::move(buf));
   }
 
-  /// Load one rank's contribution into the downward buffer, recycling the
-  /// caller's vector into the pool (the API-boundary buffer exchange that
-  /// keeps warm replays allocation-free).
+  /// Adopt one rank's contribution as its downward buffer: the caller's
+  /// vector is swapped in without copying a value, and the buffer it
+  /// displaces (last reduce's bottom buffer) is recycled into the pool.
+  /// This buffer exchange at the API boundary keeps warm replays
+  /// allocation-free: one buffer enters per reduce, one leaves as the
+  /// result.
   static void load_input(ReplayScratch<V>& s, std::vector<V>& out_values) {
-    refill(s.value_pool, s.v);
-    s.v.assign(out_values.begin(), out_values.end());
+    std::swap(s.v, out_values);
     recycle(s.value_pool, out_values);
   }
 

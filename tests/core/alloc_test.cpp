@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -109,13 +110,15 @@ TEST(AllocHotPath, WarmPairwiseMergeIsAllocationFree) {
   EXPECT_EQ(keys, (std::vector<key_t>{1, 2, 3, 5, 7, 8, 9, 11, 20}));
 }
 
-// Drives the engine rounds exactly as ReduceExecutor does — ReplayOps over
-// a compiled plan, spent buffers returned to their senders at each round
+// Drives the engine rounds as ReduceExecutor does — ReplayOps over a
+// compiled plan, spent buffers returned to their senders at each round
 // barrier — but with the warm-up / measurement boundary inside one
 // reduction: after warm-up, the down rounds and up rounds (the
 // per-iteration hot path) must not allocate at all. load_input, begin_up
-// and the result hand-off are the accepted API boundary: the result buffer
-// leaves the system with the caller each iteration.
+// and the result hand-off are the accepted API boundary: begin_up grows the
+// result buffer that leaves with the caller each iteration, so it stays
+// outside the gauge here (the executor runs it inside the last down
+// round's consume; the full-reduce budgets below count it).
 TEST(AllocHotPath, SteadyStateReduceRoundsAreAllocationFree) {
   using Ops = ReplayOps<float, OpSum>;
   const Topology topo({4, 2});
@@ -227,11 +230,75 @@ TEST(AllocHotPath, FullReduceStaysWithinApiBoundaryBudget) {
   const std::uint64_t second = measure();
 #ifdef NDEBUG
   // Accepted allocations: the per-rank result buffer that leaves with the
-  // caller (grown in begin_up) and the outer results vector. Everything
-  // else — letters, unions, merges, inboxes — must recycle.
+  // caller (grown by the bottom gather, which rides the last down consume)
+  // and the outer results vector. Everything else — letters, unions,
+  // merges, inboxes, the adopted input vectors — must recycle.
   EXPECT_LE(first, static_cast<std::uint64_t>(m) + 1);
 #endif
   EXPECT_EQ(first, second) << "steady-state reduce() is not steady";
+}
+
+// Contributions are adopted, not copied: ReplayOps::load_input swaps the
+// caller's vector in and recycles the buffer it displaces. A caller whose
+// vectors carry spare capacity therefore hands the executor buffers of a
+// size no round asked for, one per rank per reduce. Over many warm reduces
+// that must neither break the API-boundary budget nor grow any rank's value
+// pool: one buffer enters per rank and one leaves as the result, so once
+// warm a rank's pool holds the same number of buffers after every reduce.
+TEST(AllocHotPath, AdoptedInputsWithSpareCapacityKeepPoolsBounded) {
+  const Topology topo({4, 2});
+  const rank_t m = topo.num_machines();
+  const auto w = random_workload<float>(m, 3000, 0.06, 0.12, 37);
+
+  BspEngine<float> engine(m);
+  SparseAllreduce<float, OpSum, BspEngine<float>> compiler(&engine, topo);
+  const auto plan = compiler.compile(w.in_sets, w.out_sets);
+  ReduceExecutor<float, OpSum, BspEngine<float>> executor;
+  executor.bind(&engine, plan);
+
+  // Every contribution carries 2x-4x spare capacity, varying by rank and
+  // iteration so no two adopted buffers need match.
+  const auto inputs = [&](int iter) {
+    std::vector<std::vector<float>> values(m);
+    for (rank_t r = 0; r < m; ++r) {
+      values[r].reserve((2 + (r + iter) % 3) * w.out_values[r].size() + 17);
+      values[r] = w.out_values[r];
+    }
+    return values;
+  };
+  // The most buffers a rank can lend out at once: one per letter of its
+  // widest round. Its pool may hold those plus the buffer displaced by
+  // load_input, never more.
+  std::size_t widest = 0;
+  for (std::uint16_t layer = 1; layer <= topo.num_layers(); ++layer) {
+    widest = std::max<std::size_t>(widest, topo.degree(layer));
+  }
+
+  constexpr int kWarm = 10;
+  std::vector<std::size_t> warm_pool(m);
+  for (int iter = 0; iter < 50; ++iter) {
+    auto values = inputs(iter);  // built outside the gauge
+    AllocGauge gauge;
+    const auto results = executor.reduce(std::move(values));
+    const std::uint64_t count = gauge.count();
+    (void)count;  // only budgeted in NDEBUG builds
+    if (iter == 0) testing::expect_matches_oracle<float>(w, results);
+    for (rank_t r = 0; r < m; ++r) {
+      const std::size_t pool = executor.scratch(r).value_pool.size();
+      EXPECT_LE(pool, widest + 1) << "rank " << r << " iteration " << iter;
+      if (iter == kWarm) warm_pool[r] = pool;
+      if (iter > kWarm) {
+        EXPECT_EQ(pool, warm_pool[r]) << "rank " << r << " iteration " << iter;
+      }
+    }
+    if (iter >= kWarm) {
+#ifdef NDEBUG
+      EXPECT_LE(count, static_cast<std::uint64_t>(m) + 1)
+          << "iteration " << iter;
+#endif
+    }
+    if (iter == 49) testing::expect_matches_oracle<float>(w, results);
+  }
 }
 
 // The observability hooks must be pay-for-what-you-use: after detaching an
@@ -572,8 +639,9 @@ TEST(AllocHotPath, StreamedStridedReplayStaysWithinBudget) {
 // analogue of the executor's collect_spent), mailbox shells are reserved to
 // the frozen expected counts, and reset() keeps every warmed buffer — so a
 // warm submit/drain/take_result/reset batch allocates only what leaves with
-// the caller: per stream, the m result buffers grown in begin_up plus the
-// outer results vector (re-grown because take_result moved it out).
+// the caller: per stream, the m result buffers grown by the bottom gather
+// after the last down consume, plus the outer results vector (re-grown
+// because take_result moved it out).
 TEST(AllocHotPath, AsyncSteadyStateStreamsStayWithinBudget) {
   const Topology topo({2, 2, 2});
   const rank_t m = topo.num_machines();

@@ -2,7 +2,12 @@
 # Kernel perf regression gate: rebuilds bench/micro_kernels in Release,
 # re-measures every kernel row, and compares kernel_eps against the
 # committed BENCH_kernels.json. A row regressing by more than the tolerance
-# fails the script (exit 1) and the table marks it REGRESS.
+# fails the gate and the table marks it REGRESS.
+#
+# Every gate below runs to completion and prints its verdict, even after an
+# earlier gate failed; the script then exits 1 if any gate failed (listing
+# them), 0 if all passed, and 2 if a committed baseline is missing. A build
+# failure still aborts at once.
 #
 # Wall-clock microbenches are noisy across hosts, so the committed artifact
 # is a same-machine baseline: refresh it (run micro_kernels, commit the
@@ -44,6 +49,8 @@
 #   engine-tolerance defaults to 0.5 (new_s <= (1 + tol) * old_s).
 set -euo pipefail
 
+failed_gates=()
+
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-"${repo_root}/build-bench"}"
 tolerance="${2:-0.25}"
@@ -62,7 +69,8 @@ cmake --build "${build_dir}" -j "$(nproc)" --target micro_kernels
 fresh="${build_dir}/BENCH_kernels_fresh.json"
 "${build_dir}/bench/micro_kernels" "${fresh}" > /dev/null
 
-python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF'
+python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF' \
+  || failed_gates+=("kernel")
 import json
 import sys
 
@@ -119,7 +127,8 @@ engines_threads="$(python3 -c \
 "${build_dir}/bench/wall_engines" "${engines_threads}" "${engines_fresh}" \
   > /dev/null
 
-python3 - "${engines_baseline}" "${engines_fresh}" "${engine_tolerance}" <<'EOF'
+python3 - "${engines_baseline}" "${engines_fresh}" "${engine_tolerance}" \
+  <<'EOF' || failed_gates+=("no-fault-overhead")
 import json
 import sys
 
@@ -168,7 +177,7 @@ EOF
 # weight. The margin is deliberately modest (1.2x) — the measured advantage
 # is 2-4x, dominated by the skipped config rounds — and the strided path
 # must stay bit-identical to independent replays.
-python3 - "${engines_fresh}" <<'EOF'
+python3 - "${engines_fresh}" <<'EOF' || failed_gates+=("plan-reuse")
 import json
 import sys
 
@@ -209,7 +218,7 @@ EOF
 # around the efficiency knee (the optimum lands on min_efficient_packet at
 # k = 3-4, measured 1.35-1.50x); dipping below 1.15x means per-chunk
 # overheads ate the overlap.
-python3 - "${engines_fresh}" <<'EOF'
+python3 - "${engines_fresh}" <<'EOF' || failed_gates+=("streaming")
 import json
 import sys
 
@@ -250,7 +259,7 @@ EOF
 # of bare. An impossible negative reading (instrumented "faster" than
 # bare) outside the band means the measurement drifted, and that is a
 # failure too — it used to hide real overhead behind -5% noise.
-python3 - "${engines_fresh}" <<'EOF'
+python3 - "${engines_fresh}" <<'EOF' || failed_gates+=("observability")
 import json
 import sys
 
@@ -290,7 +299,7 @@ EOF
 # reported and every overlapped stream bit-identical to its serialized
 # replay (measured 1.5-1.7x at a window of 8 over 16 streams, ~95%+
 # bottleneck-NIC occupancy).
-python3 - "${engines_fresh}" <<'PYGATE'
+python3 - "${engines_fresh}" <<'PYGATE' || failed_gates+=("async-overlap")
 import json
 import sys
 
@@ -340,7 +349,7 @@ PYGATE
 # hierarchical plan — only means something with real cores to shard hosts
 # across, so it is enforced when >= 4 CPUs are visible and skipped with a
 # logged reason otherwise.
-python3 - "${engines_fresh}" <<'PYHIER'
+python3 - "${engines_fresh}" <<'PYHIER' || failed_gates+=("hierarchy")
 import json
 import sys
 
@@ -393,11 +402,18 @@ PYHIER
 # restores the cached epoch-0 plan.
 cmake --build "${build_dir}" -j "$(nproc)" --target kylix_cli
 heal_json="${build_dir}/BENCH_heal_fresh.json"
+heal_status=0
 "${build_dir}/tools/kylix_cli" heal --machines 32 --features 65536 \
   --density 0.15 --replication 2 --cycles 3 --group-size 2 \
-  --heal-out "${heal_json}" > /dev/null
+  --heal-out "${heal_json}" > /dev/null || heal_status=$?
 
-python3 - "${heal_json}" <<'PYHEAL'
+if [[ "${heal_status}" -ne 0 ]]; then
+  echo
+  echo "healing gate FAILED: kylix_cli heal exited ${heal_status} (a healed" \
+    "reduce or rejoin was not bit-identical)"
+  failed_gates+=("healing")
+else
+python3 - "${heal_json}" <<'PYHEAL' || failed_gates+=("healing")
 import json
 import sys
 
@@ -434,3 +450,11 @@ if not (ok_ratio and ok_sound and ok_degraded and ok_epochs):
 print(f"\nhealing gate passed: re-plan {ratio:.2f}x cold survivor configure "
       f"(<= {max_ratio}x), all heals and rejoins bit-identical")
 PYHEAL
+fi
+
+echo
+if [[ ${#failed_gates[@]} -gt 0 ]]; then
+  echo "bench_check: ${#failed_gates[@]} of 8 gates FAILED: ${failed_gates[*]}"
+  exit 1
+fi
+echo "bench_check: all 8 gates passed"
