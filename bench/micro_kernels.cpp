@@ -9,15 +9,21 @@
 //     (cache-hostile) and strictly-increasing (cache-friendly) maps.
 //
 // Output rows carry elements/s for kernel and baseline plus the ratio;
-// tools/bench_check.sh diffs kernel_eps against the committed JSON with a
+// tools/bench_check.sh diffs them against the committed JSON with a
 // tolerance, which is the perf gate until CI exists. Timing is min-of-trials
 // over repeated calls on warm scratch buffers, so the numbers track the
 // steady-state (allocation-free) regime the engines run in.
+//
+// A "host" fingerprint (CPU model, usable CPUs, compiler, KYLIX_NATIVE and
+// LTO) says where the numbers come from: absolute elements/s only compare
+// across runs with the same fingerprint, while the in-run kernel/baseline
+// ratio carries over to other hosts.
 //
 // Output: argv[1] or BENCH_kernels.json.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #ifdef __linux__
@@ -163,6 +169,37 @@ void bench_scatter_gather(obs::JsonWriter& json) {
   }
 }
 
+/// The "model name" of the first CPU in /proc/cpuinfo ("unknown" when
+/// absent, e.g. off Linux).
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? std::string() : line.substr(start);
+  }
+  return "unknown";
+}
+
+void emit_host(obs::JsonWriter& json, unsigned affinity) {
+#ifdef KYLIX_NATIVE
+  constexpr bool kNative = true;
+#else
+  constexpr bool kNative = false;
+#endif
+  json.key("host");
+  json.begin_object();
+  json.key_value("cpu_model", cpu_model());
+  json.key_value("usable_cpus", affinity);
+  json.key_value("compiler", std::string(__VERSION__));
+  json.key_value("native", kNative);
+  json.key_value("lto", KYLIX_BENCH_LTO != 0);
+  json.end_object();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,6 +220,7 @@ int main(int argc, char** argv) {
                  static_cast<int>(std::thread::hardware_concurrency()));
   json.key_value("affinity_cpus", static_cast<int>(affinity));
   json.key_value("trials", kTrials);
+  emit_host(json, affinity);
   json.key("tuning");
   json.begin_object();
   json.key_value("prefetch_ahead",

@@ -4,9 +4,11 @@
 // plan's scripted crash/revive events and collects previously-delayed
 // letters that are due again, route() classifies one letter (stashing it on
 // kDelay), classify_copy() classifies one physical copy for engines that
-// account per copy (ReplicatedBsp). Because all four engines call the same
-// two entry points at the same protocol positions, fault semantics are
-// identical everywhere:
+// account per copy (ReplicatedBsp). The letter engines (ParallelBspEngine,
+// its one-thread form BspEngine, and ThreadedBsp) reach route() and due()
+// only through the one wire core, LetterDelivery (comm/delivery.hpp);
+// ReplicatedBsp calls the same entry points at the same protocol positions
+// for each copy — so fault semantics are identical everywhere:
 //
 //   kDrop      — the letter is lost; the sender already paid for it.
 //   kDuplicate — delivered once, but the wire carried it twice (the engine
@@ -21,7 +23,8 @@
 //                race (late copies are canceled) and recovers total losses.
 //
 // One channel serves one engine; it is not thread-safe by itself
-// (ThreadedBsp serializes its calls under the engine's observer mutex).
+// (ThreadedBsp serializes its LetterDelivery calls under the engine's
+// observer mutex).
 #pragma once
 
 #include <cstdint>

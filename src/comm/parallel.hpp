@@ -1,23 +1,30 @@
-// The host-parallel simulation engine.
+// The bulk-synchronous simulation engine.
 //
-// Same round semantics and observer behavior as BspEngine, but the two
-// embarrassingly-parallel halves of a round — every rank's produce and every
-// rank's consume — run across a persistent ThreadPool. The sequential parts
-// that define observable order (trace events, modeled send/receive timing,
-// failure drops) stay on the calling thread, so results, traces, and timing
-// reports are bit-identical to BspEngine:
+// One round = one communication layer of one phase (§III–IV): every alive
+// node produces its outgoing letters, the engine charges them, applies
+// failure drops and faults through the shared wire core (comm/delivery.hpp),
+// then every alive node consumes its inbox sorted by source rank — so
+// results never depend on delivery order. BspEngine (comm/bsp.hpp) is this
+// engine at one thread: the deterministic reference every other engine is
+// tested against.
+//
+// The two embarrassingly-parallel halves of a round — every rank's produce
+// and every rank's consume — run across a persistent ThreadPool (inline at
+// one thread). The sequential parts that define observable order (trace
+// events, modeled send/receive timing, failure drops, the fault plan's RNG)
+// stay on the calling thread, so results, traces, and timing reports are
+// bit-identical at every thread count:
 //
 //   1. Parallel produce: rank r's letters are staged into outboxes_[r] in
 //      production order. Workers touch only their own rank's node.
-//   2. Sequential delivery: outboxes are drained in (rank, production) order
-//      — exactly the order BspEngine emits trace/timing events in — applying
-//      failure drops and appending to the destination inboxes.
+//   2. Sequential delivery: outboxes are drained in (rank, production)
+//      order through LetterDelivery, appending to the destination inboxes.
 //   3. Parallel consume: each rank sorts its inbox by source and consumes
 //      it. charge_compute() calls made by consumers land in per-rank buffers
 //      (no contention: one consume per rank) and are flushed to the timing
-//      accumulator in ascending rank order after the batch, matching the
-//      sequential engine's accumulation order exactly (floating-point
-//      addition order included).
+//      accumulator in ascending rank order after the batch, so the per-slot
+//      accumulation order (floating-point addition order included) does not
+//      depend on the thread count.
 //
 // Inboxes and outboxes persist across rounds, so the steady-state letter
 // recycling economy of the node layer is preserved: shells keep their
@@ -31,6 +38,16 @@
 // hosts are independent by construction (each leader touches only its own
 // members' buffers, and the timing accumulator preallocates distinct
 // per-rank slots), so no buffering or locking is needed there.
+//
+// Engine concept shared by this engine, ThreadedBsp and ReplicatedBsp (node
+// algorithms are produce/expected/consume callbacks, so every engine drives
+// the *same* algorithm code — DESIGN.md decision 3):
+//   rank_t num_ranks() const;
+//   round(phase, layer, produce, expected, consume);
+// where, for each alive rank r,
+//   produce(r)  -> std::vector<Letter<V>>   letters to send (self allowed)
+//   expected(r) -> std::vector<rank_t>      ranks r awaits a letter from
+//   consume(r, std::vector<Letter<V>>&&)    inbox sorted by src
 #pragma once
 
 #include <algorithm>
@@ -53,8 +70,7 @@ template <typename V>
 class ParallelBspEngine {
  public:
   /// `threads` counts the calling thread (0 = hardware concurrency); all
-  /// observer pointers are optional and not owned. With threads == 1 the
-  /// engine degenerates to BspEngine's exact control flow.
+  /// observer pointers are optional and not owned.
   explicit ParallelBspEngine(rank_t num_nodes, unsigned threads = 0,
                              const FailureModel* failures = nullptr,
                              Trace* trace = nullptr,
@@ -84,7 +100,11 @@ class ParallelBspEngine {
     return failures_ != nullptr && failures_->is_dead(rank);
   }
 
-  /// Degraded completion around dead ranks; see BspEngine::has_failed().
+  /// Elastic membership: an unreplicated engine with any dead rank can only
+  /// complete in degraded mode — there is no replica to recover the dead
+  /// rank's exclusive keys from, so surviving nodes resolve them to the
+  /// reduction identity (core/degraded.hpp) instead of aborting
+  /// finish_configure(). Lets survivors re-plan around confirmed deaths.
   [[nodiscard]] bool has_failed() const {
     return failures_ != nullptr && failures_->num_dead() > 0;
   }
@@ -92,13 +112,14 @@ class ParallelBspEngine {
 
   /// Telemetry hook (src/obs); optional and not owned, like trace/timing.
   /// Hooks fire from the sequential half of the round, so observers see the
-  /// same event order as with BspEngine.
+  /// same event order at every thread count.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
 
   /// Attach a chaos-engine fault channel (optional, not owned, one engine
-  /// per channel). Classification happens in the sequential delivery stage,
-  /// so the plan's RNG is consumed in the same order as with BspEngine and
-  /// results stay bit-identical across the two engines.
+  /// per channel). When the engine has no FailureModel of its own it adopts
+  /// the plan's, so scripted crashes take effect without extra plumbing.
+  /// Classification happens in the sequential delivery stage, so the plan's
+  /// RNG is consumed in the same order at every thread count.
   void set_fault_channel(FaultChannel<V>* channel) {
     channel_ = channel;
     if (channel_ != nullptr && failures_ == nullptr) {
@@ -149,7 +170,8 @@ class ParallelBspEngine {
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
   void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
              ExpectedFn&& expected, ConsumeFn&& consume) {
-    // Scripted crashes fire before produce, exactly as in BspEngine.
+    // The fault plan's scripted crashes fire first, so a node killed "at"
+    // this round neither produces nor receives in it.
     if (channel_ != nullptr) channel_->begin_round(phase, layer);
     if (observer_ != nullptr) observer_->on_round_begin(phase, layer);
     // 1. Parallel produce into per-rank staging outboxes.
@@ -165,9 +187,8 @@ class ParallelBspEngine {
       }
     });
 
-    // 2. Sequential delivery in (rank, production) order — the event order
-    // BspEngine produces, through the same LetterDelivery step — so traces
-    // and modeled timing match exactly.
+    // 2. Sequential delivery in (rank, production) order, so traces and
+    // modeled timing do not depend on the thread count.
     // The staged outboxes give the exact round size up front, so the trace
     // can reserve once instead of growing mid-round.
     if (trace_ != nullptr) {
@@ -212,8 +233,8 @@ class ParallelBspEngine {
     });
     collecting_ = false;
 
-    // Flush buffered charges in ascending rank order: identical per-slot
-    // accumulation order to the sequential consume loop.
+    // Flush buffered charges in ascending rank order: the per-slot
+    // accumulation order of a sequential consume loop.
     if (timing_ != nullptr) {
       for (rank_t rank = 0; rank < num_nodes_; ++rank) {
         for (const ComputeEvent& e : pending_compute_[rank]) {

@@ -1,33 +1,47 @@
-// The concurrent engine: one std::thread per simulated machine.
+// The concurrent engine: one host thread per simulated machine.
 //
-// Same round() contract as BspEngine, but every node runs its
+// Same round() contract as ParallelBspEngine, but every node runs its
 // produce/send/receive/consume cycle on its own thread with blocking
 // mailboxes — real concurrency, real interleavings, opportunistic message
 // arrival (§VI-B). Received letters are sorted by source before consume, so
 // results are bit-identical to the sequential engine regardless of arrival
-// order (asserted by tests/comm, which run both engines on the same inputs).
+// order (asserted by tests/core, which run both engines on the same inputs).
+//
+// Sends go through the shared wire core (comm/delivery.hpp): each worker
+// calls LetterDelivery::admit under the observer mutex, because the trace,
+// the timing accumulator, the observer and the fault plan's RNG are not
+// thread-safe. The plan's RNG is consumed in whatever order threads reach
+// it, so fault *placement* is scheduling-dependent here (unlike the
+// sequential engine) while fault *semantics* are identical. Due delayed
+// letters are merged by each destination's worker through
+// LetterDelivery::redeliver.
+//
+// Ranks run on a ThreadPool with exactly num_ranks() threads, the caller
+// included, so every index of a round's batch is one rank. Deadlock freedom
+// rests on that count: a rank blocked in Mailbox::take holds at most one
+// index, and with as many threads as indices each claim takes exactly one,
+// so whenever an index is still unclaimed some thread is free to claim it —
+// every sender a blocked receiver waits on does run.
 //
 // Failures are supported (dead nodes neither run nor receive); replication
 // racing at the wire level is exercised by the Mailbox::take_any unit tests
 // and the sequential ReplicatedBsp — this engine intentionally stays the
-// minimal concurrent counterpart of BspEngine.
+// minimal concurrent counterpart of the sequential engine.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "cluster/failure.hpp"
 #include "cluster/timing.hpp"
 #include "cluster/trace.hpp"
+#include "comm/delivery.hpp"
 #include "comm/fault_channel.hpp"
 #include "comm/mailbox.hpp"
 #include "comm/packet.hpp"
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/observer.hpp"
 
 namespace kylix {
@@ -37,32 +51,16 @@ class ThreadedBsp {
  public:
   ThreadedBsp(rank_t num_nodes, const FailureModel* failures = nullptr,
               Trace* trace = nullptr, TimingAccumulator* timing = nullptr)
-      : num_nodes_(num_nodes),
+      : num_nodes_(checked_ranks(num_nodes)),
         failures_(failures),
         trace_(trace),
         timing_(timing),
         mailboxes_(num_nodes),
-        due_by_rank_(num_nodes) {
-    KYLIX_CHECK(num_nodes >= 1);
+        due_by_rank_(num_nodes),
+        pool_(num_nodes) {
     KYLIX_CHECK_MSG(failures == nullptr || failures->num_nodes() >= num_nodes,
                     "FailureModel covers fewer ranks than the engine");
-    workers_.reserve(num_nodes);
-    for (rank_t rank = 0; rank < num_nodes; ++rank) {
-      workers_.emplace_back([this, rank] { worker_loop(rank); });
-    }
   }
-
-  ~ThreadedBsp() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    start_cv_.notify_all();
-    for (auto& t : workers_) t.join();
-  }
-
-  ThreadedBsp(const ThreadedBsp&) = delete;
-  ThreadedBsp& operator=(const ThreadedBsp&) = delete;
 
   [[nodiscard]] rank_t num_ranks() const { return num_nodes_; }
 
@@ -70,23 +68,21 @@ class ThreadedBsp {
     return failures_ != nullptr && failures_->is_dead(rank);
   }
 
-  /// Degraded completion around dead ranks; see BspEngine::has_failed().
+  /// Degraded completion around dead ranks; see
+  /// ParallelBspEngine::has_failed().
   [[nodiscard]] bool has_failed() const {
     return failures_ != nullptr && failures_->num_dead() > 0;
   }
   [[nodiscard]] bool degraded_allowed() const { return true; }
 
-  /// Telemetry hook (src/obs); optional, not owned. on_message/on_drop fire
-  /// from worker threads under the observer mutex; round begin/end fire on
-  /// the calling thread.
+  /// Telemetry hook (src/obs); optional, not owned. on_message/on_drop/
+  /// on_fault/on_redelivery fire from worker threads under the observer
+  /// mutex; round begin/end fire on the calling thread.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
 
-  /// Attach a chaos-engine fault channel (optional, not owned). Workers
-  /// classify sends under the observer mutex — the plan's RNG is consumed in
-  /// whatever order threads reach it, so fault *placement* is scheduling-
-  /// dependent here (unlike the sequential engines), while fault *semantics*
-  /// are identical: dropped and delayed copies become tombstone letters so
-  /// blocking receives still unblock.
+  /// Attach a chaos-engine fault channel (optional, not owned). Dropped and
+  /// delayed copies become tombstone letters so blocking receives still
+  /// unblock.
   void set_fault_channel(FaultChannel<V>* channel) {
     channel_ = channel;
     if (channel_ != nullptr && failures_ == nullptr) {
@@ -100,7 +96,8 @@ class ThreadedBsp {
 
   /// Messages transmitted to dead destinations since construction.
   [[nodiscard]] std::uint64_t dropped_messages() const {
-    return dropped_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(observer_mutex_);
+    return dropped_;
   }
 
   /// Attribute modeled local compute to a rank within a round (thread-safe).
@@ -113,13 +110,13 @@ class ThreadedBsp {
 
   /// Attribute modeled intra-node (shared-memory tier) time to a rank.
   /// Called from intra_round, which runs on the calling thread here, so no
-  /// lock is needed (the per-rank worker threads are parked between rounds).
+  /// lock is needed (the pool's workers are parked between rounds).
   void charge_intra(Phase phase, rank_t rank, double seconds) {
     if (timing_ != nullptr) timing_->on_intra(phase, rank, seconds);
   }
 
   /// Intra-node stage of a hierarchical topology: runs sequentially on the
-  /// calling thread. The per-rank worker threads model the *wire*, and the
+  /// calling thread. The per-rank threads model the *wire*, and the
   /// shared-memory tier has no wire traffic to interleave — a leader reads
   /// its co-located members' buffers directly (single copy, no Letters).
   template <typename Fn>
@@ -131,38 +128,58 @@ class ThreadedBsp {
   template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
   void round(Phase phase, std::uint16_t layer, ProduceFn&& produce,
              ExpectedFn&& expected, ConsumeFn&& consume) {
-    stale_at_staging_.clear();
+    // Scripted crashes fire on the calling thread before any rank runs, so
+    // is_dead() is stable for the whole round.
+    if (channel_ != nullptr) channel_->begin_round(phase, layer);
+    if (observer_ != nullptr) observer_->on_round_begin(phase, layer);
+    const LetterDelivery<V> wire{failures_, trace_,    timing_,
+                                 observer_, channel_, &dropped_};
     if (channel_ != nullptr) {
-      // Scripted crashes fire on the calling thread before workers start, so
-      // is_dead() is stable for the whole round. Due delayed letters are
-      // staged per destination rank here; the generation handshake in
-      // run_task() makes the staging visible to the workers.
-      channel_->begin_round(phase, layer);
+      // Stage due delayed letters per destination rank; the pool's batch
+      // handshake publishes the staging, and each worker drains only its
+      // own slot.
       for (Letter<V>& letter : channel_->due()) {
         if (letter.dst >= num_nodes_ || is_dead(letter.dst)) {
-          channel_->note_stale();
-          // Defer the observer hook: it must fire inside the round.
-          stale_at_staging_.push_back(MsgEvent{phase, layer, letter.src,
-                                               letter.dst,
-                                               letter.packet.wire_bytes()});
-          continue;
+          wire.discard(phase, layer, letter);
+        } else {
+          due_by_rank_[letter.dst].push_back(std::move(letter));
         }
-        due_by_rank_[letter.dst].push_back(std::move(letter));
       }
       channel_->due().clear();
     }
-    if (observer_ != nullptr) {
-      observer_->on_round_begin(phase, layer);
-      for (const MsgEvent& event : stale_at_staging_) {
-        observer_->on_redelivery(event, true);
-      }
+    try {
+      run_ranks(wire, phase, layer, produce, expected, consume);
+    } catch (...) {
+      // A rank that threw left letters no one will take; drop them so the
+      // next round cannot consume this round's data.
+      for (auto& mailbox : mailboxes_) mailbox.reset();
+      for (auto& due : due_by_rank_) due.clear();
+      throw;
     }
-    // Type-erase this round's work; each worker runs it for its own rank.
-    task_ = [&, phase, layer](rank_t rank) {
+    if (observer_ != nullptr) observer_->on_round_end(phase, layer);
+  }
+
+ private:
+  /// ThreadPool(0) would mean hardware concurrency, so the rank count is
+  /// checked before the pool is built.
+  static rank_t checked_ranks(rank_t num_nodes) {
+    KYLIX_CHECK(num_nodes >= 1);
+    return num_nodes;
+  }
+
+  /// One batch on the pool: every live rank produces and sends, takes one
+  /// letter (or one edge's chunks) per live expected sender, merges its due
+  /// delayed letters, and consumes its inbox sorted by source.
+  template <typename ProduceFn, typename ExpectedFn, typename ConsumeFn>
+  void run_ranks(const LetterDelivery<V>& wire, Phase phase,
+                 std::uint16_t layer, ProduceFn& produce,
+                 ExpectedFn& expected, ConsumeFn& consume) {
+    pool_.parallel_for(num_nodes_, [&](std::size_t r) {
+      const rank_t rank = static_cast<rank_t>(r);
       if (is_dead(rank)) return;
       for (Letter<V>& letter : produce(rank)) {
         KYLIX_DCHECK(letter.src == rank);
-        send(phase, layer, std::move(letter));
+        send(wire, phase, layer, std::move(letter));
       }
       std::vector<Letter<V>> inbox;
       for (rank_t src : expected(rank)) {
@@ -182,135 +199,43 @@ class ThreadedBsp {
           if (!letter.faulted) inbox.push_back(std::move(letter));
         }
       }
-      if (channel_ != nullptr) drain_due(rank, phase, layer, inbox);
+      auto& due = due_by_rank_[rank];
+      if (!due.empty()) {
+        // The channel's counters are no more thread-safe than the plan.
+        std::lock_guard<std::mutex> lock(observer_mutex_);
+        for (Letter<V>& letter : due) {
+          wire.redeliver(phase, layer, std::move(letter), inbox);
+        }
+        due.clear();
+      }
       std::sort(inbox.begin(), inbox.end(), letter_before<V>);
       consume(rank, std::move(inbox));
-    };
-    run_task();
-    if (observer_ != nullptr) observer_->on_round_end(phase, layer);
+    });
   }
 
- private:
-  void send(Phase phase, std::uint16_t layer, Letter<V>&& letter) {
+  /// Put one produced letter on the wire. A letter that does not travel on
+  /// (kDrop, or stashed by kDelay) still leaves a tombstone in a live
+  /// destination's mailbox, because that receiver blocks on take(src); the
+  /// tombstone keeps the chunk framing so the receiver still counts it
+  /// toward the edge's chunk_count letters.
+  void send(const LetterDelivery<V>& wire, Phase phase, std::uint16_t layer,
+            Letter<V>&& letter) {
     KYLIX_CHECK_MSG(letter.dst < num_nodes_, "letter to invalid rank");
-    const rank_t src = letter.src;
-    const rank_t dst = letter.dst;
-    const std::uint64_t bytes = letter.packet.wire_bytes();
-    const MsgEvent event{phase, layer, src, dst, bytes};
-    const bool dead_dst = is_dead(dst);
-    FaultAction action = FaultAction::kDeliver;
+    Letter<V> tombstone;  // framing only: kDelay moves the letter out
+    tombstone.src = letter.src;
+    tombstone.dst = letter.dst;
+    tombstone.faulted = true;
+    tombstone.packet.chunk_index = letter.packet.chunk_index;
+    tombstone.packet.chunk_count = letter.packet.chunk_count;
+    bool admitted = false;
     {
       std::lock_guard<std::mutex> lock(observer_mutex_);
-      if (trace_ != nullptr) trace_->add(event);
-      if (timing_ != nullptr) timing_->on_message(event);
-      if (observer_ != nullptr) observer_->on_message(event);
-      // Classify under the same lock: the plan's RNG is not thread-safe.
-      // Letters to dead destinations never consume plan randomness,
-      // matching the sequential engines' order of checks.
-      if (channel_ != nullptr && !dead_dst) {
-        action = channel_->route(phase, layer, letter);
-        if (action != FaultAction::kDeliver) {
-          if (observer_ != nullptr) observer_->on_fault(event, action);
-          if (action == FaultAction::kDuplicate) {
-            // The wire carried the letter twice; charge the second copy.
-            if (trace_ != nullptr) trace_->add(event);
-            if (timing_ != nullptr) timing_->on_message(event);
-            if (observer_ != nullptr) observer_->on_message(event);
-          }
-        }
-      }
+      admitted = wire.admit(phase, layer, letter);
     }
-    if (dead_dst) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (observer_ != nullptr) {
-        std::lock_guard<std::mutex> lock(observer_mutex_);
-        observer_->on_drop(event);
-      }
-      return;
-    }
-    if (action == FaultAction::kDrop || action == FaultAction::kDelay) {
-      // The payload is gone (lost or stashed in the channel), but the
-      // receiver blocks on take(src) — deliver a tombstone to unblock it.
-      // The tombstone keeps the chunk framing so the receiver still counts
-      // it toward the edge's chunk_count letters.
-      Letter<V> tombstone;
-      tombstone.src = src;
-      tombstone.dst = dst;
-      tombstone.faulted = true;
-      tombstone.packet.chunk_index = letter.packet.chunk_index;
-      tombstone.packet.chunk_count = letter.packet.chunk_count;
-      mailboxes_[dst].put(std::move(tombstone));
-      return;
-    }
-    mailboxes_[dst].put(std::move(letter));
-  }
-
-  /// Merge this rank's staged due letters into its inbox: a fresh letter
-  /// for the same (sender, chunk) slot supersedes the stale delayed copy
-  /// (sibling chunks never do). Channel counters are bumped under the
-  /// observer mutex (the channel itself is not thread-safe).
-  void drain_due(rank_t rank, Phase phase, std::uint16_t layer,
-                 std::vector<Letter<V>>& inbox) {
-    auto& due = due_by_rank_[rank];
-    if (due.empty()) return;
-    std::lock_guard<std::mutex> lock(observer_mutex_);
-    for (Letter<V>& letter : due) {
-      const MsgEvent event{phase, layer, letter.src, letter.dst,
-                           letter.packet.wire_bytes()};
-      const bool superseded =
-          std::any_of(inbox.begin(), inbox.end(), [&](const Letter<V>& l) {
-            return same_slot(l, letter);
-          });
-      if (superseded) {
-        channel_->note_stale();
-      } else {
-        inbox.push_back(std::move(letter));
-        channel_->note_redelivered();
-      }
-      if (observer_ != nullptr) observer_->on_redelivery(event, superseded);
-    }
-    due.clear();
-  }
-
-  void run_task() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      pending_ = num_nodes_;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    if (worker_error_) {
-      auto error = worker_error_;
-      worker_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
-
-  void worker_loop(rank_t rank) {
-    std::uint64_t seen_generation = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        start_cv_.wait(lock, [&] {
-          return shutdown_ || generation_ > seen_generation;
-        });
-        if (shutdown_) return;
-        seen_generation = generation_;
-      }
-      try {
-        task_(rank);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!worker_error_) worker_error_ = std::current_exception();
-      }
-      bool last = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        last = (--pending_ == 0);
-      }
-      if (last) done_cv_.notify_all();
+    if (admitted) {
+      mailboxes_[tombstone.dst].put(std::move(letter));
+    } else if (!is_dead(tombstone.dst)) {
+      mailboxes_[tombstone.dst].put(std::move(tombstone));
     }
   }
 
@@ -320,27 +245,15 @@ class ThreadedBsp {
   TimingAccumulator* timing_;
   EngineObserver* observer_ = nullptr;
   FaultChannel<V>* channel_ = nullptr;
-  std::atomic<std::uint64_t> dropped_{0};
+  /// Serializes trace, timing, observer, fault channel and dropped_.
+  mutable std::mutex observer_mutex_;
+  std::uint64_t dropped_ = 0;
 
   std::vector<Mailbox<V>> mailboxes_;
   /// Delayed letters due this round, staged per destination by the calling
-  /// thread before the workers are released (run_task's mutex handshake
-  /// publishes the staging); each worker drains only its own slot.
+  /// thread before the batch starts; each worker drains only its own slot.
   std::vector<std::vector<Letter<V>>> due_by_rank_;
-  /// Delayed copies discarded at staging (dead/invalid destination); their
-  /// on_redelivery hooks fire right after on_round_begin.
-  std::vector<MsgEvent> stale_at_staging_;
-  std::vector<std::thread> workers_;
-  std::function<void(rank_t)> task_;
-
-  std::mutex mutex_;
-  std::mutex observer_mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  rank_t pending_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr worker_error_;
+  ThreadPool pool_;  ///< last member: its workers stop before the rest goes
 };
 
 }  // namespace kylix

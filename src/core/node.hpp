@@ -4,8 +4,8 @@
 // A KylixNode owns one machine's view of the butterfly while it configures:
 // its in/out index sets at every node layer and the RankPlan (core/plan.hpp)
 // those sets compile into. It exposes one produce/consume step per
-// configuration round, so any engine satisfying the concept in comm/bsp.hpp
-// can drive it:
+// configuration round, so any engine satisfying the concept in
+// comm/parallel.hpp can drive it:
 //
 //   partition the in/out sets into the d_i hashed key subranges of the
 //   current range, send piece q to the group member whose digit is q, union

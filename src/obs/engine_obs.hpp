@@ -16,8 +16,8 @@
 // histogram, all registered once at construction.
 //
 // Thread safety matches the engine contract: hooks are serialized by the
-// calling engine (ThreadedBsp holds its observer mutex around
-// on_message/on_drop).
+// calling engine (ThreadedBsp holds its observer mutex around every
+// wire-core hook).
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,12 @@
 //
 // Hook order within one engine round:
 //   on_round_begin -> {on_message | on_drop | on_redelivery}* -> on_round_end
-// ThreadedBsp calls on_message/on_drop from worker threads (serialized by
-// its observer mutex); all other engines call every hook from the driving
-// thread. ReplicatedBsp reports one on_message per transmitted *copy*, in
-// physical ranks, mirroring what it records into the Trace.
+// ThreadedBsp calls on_message/on_drop/on_fault/on_redelivery from worker
+// threads, all under the one observer mutex its wire-core calls run under
+// (on_drop fires inside the same critical section as the on_message that
+// charged the dropped letter); all other engines call every hook from the
+// driving thread. ReplicatedBsp reports one on_message per transmitted
+// *copy*, in physical ranks, mirroring what it records into the Trace.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
-// ThreadPool behavior and ParallelBspEngine round-level parity with
-// BspEngine: same delivered state, same trace event sequence, same modeled
-// timing — with observers, failures, and compute charges in play.
+// ThreadPool behavior and ParallelBspEngine round-level parity across
+// thread counts (BspEngine is the one-thread form): same delivered state,
+// same trace event sequence, same modeled timing — with failures and
+// compute charges in play.
 #include "comm/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "comm/bsp.hpp"
 #include "common/thread_pool.hpp"
+#include "synthetic_rounds.hpp"
 
 namespace kylix {
 namespace {
@@ -70,12 +72,12 @@ TEST(ThreadPool, ZeroItemsIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity. A synthetic round: rank r sends (r+1)%m and (r+3)%m a
-// packet of values; consumers sum what they receive and charge compute
-// proportional to the received element count.
+// Engine parity over the synthetic rounds of synthetic_rounds.hpp: four
+// threads against BspEngine, which is the same engine at one thread.
 
 using Engine = BspEngine<float>;
 using Parallel = ParallelBspEngine<float>;
+using testing::run_synthetic_rounds;
 
 bool same_event(const MsgEvent& a, const MsgEvent& b) {
   return a.phase == b.phase && a.layer == b.layer && a.src == b.src &&
@@ -87,47 +89,6 @@ void expect_same_trace(const Trace& a, const Trace& b) {
   for (std::size_t i = 0; i < a.events().size(); ++i) {
     EXPECT_TRUE(same_event(a.events()[i], b.events()[i])) << "event " << i;
   }
-}
-
-template <typename E>
-std::vector<float> run_synthetic_rounds(E& engine, rank_t m) {
-  std::vector<float> state(m, 0.0f);
-  std::vector<std::vector<Letter<float>>> outboxes(m);
-  std::vector<std::vector<rank_t>> groups(m);
-  for (rank_t r = 0; r < m; ++r) {
-    groups[r] = {static_cast<rank_t>((r + m - 1) % m),
-                 static_cast<rank_t>((r + m - 3) % m)};
-  }
-  for (std::uint16_t layer = 1; layer <= 3; ++layer) {
-    engine.round(
-        Phase::kReduceDown, layer,
-        [&](rank_t r) -> std::vector<Letter<float>>& {
-          auto& out = outboxes[r];
-          out.clear();
-          for (rank_t offset : {rank_t{1}, rank_t{3}}) {
-            Letter<float> letter;
-            letter.src = r;
-            letter.dst = static_cast<rank_t>((r + offset) % m);
-            for (rank_t v = 0; v < 4 + r; ++v) {
-              letter.packet.values.push_back(
-                  static_cast<float>(r * 100 + layer * 10 + v));
-            }
-            out.push_back(std::move(letter));
-          }
-          return out;
-        },
-        [&](rank_t r) -> const std::vector<rank_t>& { return groups[r]; },
-        [&](rank_t r, std::vector<Letter<float>>&& inbox) {
-          std::size_t elements = 0;
-          for (const Letter<float>& letter : inbox) {
-            for (float v : letter.packet.values) state[r] += v;
-            elements += letter.packet.values.size();
-          }
-          engine.charge_compute(Phase::kReduceDown, layer, r,
-                                1e-7 * static_cast<double>(elements));
-        });
-  }
-  return state;
 }
 
 TEST(ParallelBspEngine, MatchesBspStateTraceAndTimingExactly) {
@@ -172,17 +133,6 @@ TEST(ParallelBspEngine, MatchesBspUnderFailures) {
   expect_same_trace(seq_trace, par_trace);
   EXPECT_TRUE(par.is_dead(2));
   EXPECT_FALSE(par.is_dead(3));
-}
-
-TEST(ParallelBspEngine, SingleThreadDegeneratesToBsp) {
-  const rank_t m = 6;
-  Trace seq_trace, par_trace;
-  Engine seq(m, nullptr, &seq_trace, nullptr);
-  Parallel par(m, 1, nullptr, &par_trace, nullptr);
-  EXPECT_EQ(par.num_threads(), 1u);
-
-  EXPECT_EQ(run_synthetic_rounds(seq, m), run_synthetic_rounds(par, m));
-  expect_same_trace(seq_trace, par_trace);
 }
 
 }  // namespace
