@@ -6,7 +6,11 @@
 //   * radix_sort_dedup vs std::sort + std::unique — uniform hashed keys
 //     (the production case) and duplicate-heavy keys;
 //   * prefetched scatter_combine / gather vs their scalar forms — random
-//     (cache-hostile) and strictly-increasing (cache-friendly) maps.
+//     (cache-hostile) and strictly-increasing (cache-friendly) maps;
+//   * tree_merge_into (branch-free pairwise select loop) vs the same merge
+//     tree over the compare-and-branch pairwise loop it replaced — 8-way and
+//     64-way unions of nearly disjoint and of overlap-heavy key sets. The
+//     branching loop lives here only, as the in-run baseline.
 //
 // Output rows carry elements/s for kernel and baseline plus the ratio;
 // tools/bench_check.sh diffs them against the committed JSON with a
@@ -22,6 +26,7 @@
 // Output: argv[1] or BENCH_kernels.json.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -34,6 +39,7 @@
 #include "obs/json_writer.hpp"
 #include "sparse/kernels/radix_sort.hpp"
 #include "sparse/kernels/scatter_gather.hpp"
+#include "sparse/merge.hpp"
 
 namespace {
 
@@ -169,6 +175,142 @@ void bench_scatter_gather(obs::JsonWriter& json) {
   }
 }
 
+/// Baseline for the tree_merge rows: the compare-and-branch pairwise union
+/// (push_back per key, bulk tails) that tree_merge_into ran before its
+/// select loop, in the same ping-pong merge tree with per-leaf map
+/// composition. The row inputs have equal-sized sets, so the gallop path of
+/// either version never fires.
+void branching_pair(std::span<const key_t> a, std::span<const key_t> b,
+                    std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b) {
+  keys.clear();
+  keys.reserve(a.size() + b.size());
+  map_a.resize(a.size());
+  map_b.resize(b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const auto out = static_cast<pos_t>(keys.size());
+    if (a[i] < b[j]) {
+      keys.push_back(a[i]);
+      map_a[i++] = out;
+    } else if (b[j] < a[i]) {
+      keys.push_back(b[j]);
+      map_b[j++] = out;
+    } else {
+      keys.push_back(a[i]);
+      map_a[i++] = out;
+      map_b[j++] = out;
+    }
+  }
+  for (; i < a.size(); ++i) {
+    map_a[i] = static_cast<pos_t>(keys.size());
+    keys.push_back(a[i]);
+  }
+  for (; j < b.size(); ++j) {
+    map_b[j] = static_cast<pos_t>(keys.size());
+    keys.push_back(b[j]);
+  }
+}
+
+void branching_tree_merge(std::span<const std::span<const key_t>> inputs,
+                          UnionResult& out, MergeScratch& scratch) {
+  const std::size_t k = inputs.size();  // >= 2 for every row
+  out.maps.resize(k);
+  auto& runs0 = scratch.runs[0];
+  const std::size_t nruns0 = (k + 1) / 2;
+  if (runs0.size() < nruns0) runs0.resize(nruns0);
+  for (std::size_t j = 0; j < k / 2; ++j) {
+    branching_pair(inputs[2 * j], inputs[2 * j + 1], runs0[j],
+                   out.maps[2 * j], out.maps[2 * j + 1]);
+  }
+  std::size_t count = nruns0;
+  std::size_t level = 0;
+  while (count > 1) {
+    auto& cur = scratch.runs[level & 1];
+    auto& nxt = scratch.runs[(level + 1) & 1];
+    const std::size_t nnext = (count + 1) / 2;
+    if (nxt.size() < nnext) nxt.resize(nnext);
+    const std::size_t leaf_span = std::size_t{1} << (level + 1);
+    for (std::size_t j = 0; j < count / 2; ++j) {
+      branching_pair(cur[2 * j], cur[2 * j + 1], nxt[j], scratch.map_a,
+                     scratch.map_b);
+      const std::size_t a_lo = 2 * j * leaf_span;
+      const std::size_t a_hi = std::min(a_lo + leaf_span, k);
+      const std::size_t b_hi = std::min(a_hi + leaf_span, k);
+      for (std::size_t leaf = a_lo; leaf < a_hi; ++leaf) {
+        for (pos_t& p : out.maps[leaf]) p = scratch.map_a[p];
+      }
+      for (std::size_t leaf = a_hi; leaf < b_hi; ++leaf) {
+        for (pos_t& p : out.maps[leaf]) p = scratch.map_b[p];
+      }
+    }
+    if (count % 2 == 1) std::swap(nxt[nnext - 1], cur[count - 1]);
+    count = nnext;
+    ++level;
+  }
+  std::swap(out.keys, scratch.runs[level & 1][0]);
+}
+
+/// k sorted, hashed key sets of `per_set` keys each. "uniform" draws from a
+/// universe 2^16 times larger than the union, so the sets barely overlap;
+/// "overlap" draws every set from one pool of 2 * per_set indices, so each
+/// key is shared by about half the sets (the heavy-overlap regime of
+/// power-law features).
+std::vector<std::vector<key_t>> make_sets(std::size_t ways,
+                                          std::size_t per_set, bool overlap,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  const std::uint64_t universe =
+      overlap ? 2 * per_set : (ways * per_set) << 16;
+  std::vector<std::vector<key_t>> sets(ways);
+  for (auto& keys : sets) {
+    keys.resize(per_set);
+    for (auto& k : keys) k = hash_index(rng.below(universe));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  }
+  return sets;
+}
+
+void bench_tree_merge(obs::JsonWriter& json) {
+  const struct {
+    std::size_t ways;
+    std::size_t per_set;
+  } shapes[] = {{8, 8192}, {64, 2048}};
+  for (const auto& shape : shapes) {
+    for (const bool overlap : {false, true}) {
+      const auto sets = make_sets(shape.ways, shape.per_set, overlap,
+                                  shape.ways * 7 + (overlap ? 1 : 0));
+      const std::vector<std::span<const key_t>> spans(sets.begin(),
+                                                      sets.end());
+      std::size_t total = 0;
+      for (const auto& keys : sets) total += keys.size();
+      // The skew names the shape; the size is the total input key count.
+      const char* skew = shape.ways == 8
+                             ? (overlap ? "overlap-8way" : "uniform-8way")
+                             : (overlap ? "overlap-64way" : "uniform-64way");
+      Row row{"tree_merge", "tree_merge_branching", total, skew};
+      UnionResult out;
+      MergeScratch scratch;
+      row.kernel_eps = static_cast<double>(total) /
+                       time_per_call(total, [&] {
+                         tree_merge_into(spans, out, scratch);
+                       });
+      UnionResult base;
+      MergeScratch base_scratch;
+      row.baseline_eps = static_cast<double>(total) /
+                         time_per_call(total, [&] {
+                           branching_tree_merge(spans, base, base_scratch);
+                         });
+      if (base.keys != out.keys || base.maps != out.maps) {
+        std::fprintf(stderr, "error: tree_merge rows disagree (%s)\n", skew);
+        std::exit(1);
+      }
+      emit(json, row);
+    }
+  }
+}
+
 /// The "model name" of the first CPU in /proc/cpuinfo ("unknown" when
 /// absent, e.g. off Linux).
 std::string cpu_model() {
@@ -230,6 +372,7 @@ int main(int argc, char** argv) {
   json.begin_array();
   bench_sort(json);
   bench_scatter_gather(json);
+  bench_tree_merge(json);
   json.end_array();
   json.end_object();
   out << '\n';

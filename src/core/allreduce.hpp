@@ -22,6 +22,13 @@
 //     allreduce, and the executor replays the allgather from the nodes'
 //     reduced bottom buffers. KylixNode never runs a value round itself.
 //
+// Per-rank configuration work stays on the engine's workers: each node's
+// unions run in its config consumes, and its bottom-map sweep
+// (KylixNode::finish_configure) in the consume of the last config round.
+// The driving thread keeps only one O(1) decision per rank afterwards
+// (run_config_rounds): dead ranks are unconfigured, and a requested index
+// no machine contributed is an error unless degraded completion applies.
+//
 // Modeled compute (tree merges, scatter-adds, gathers) is charged to the
 // engine per round when a ComputeModel is supplied, so timing reports
 // include local work, not just wire time.
@@ -473,14 +480,27 @@ class SparseAllreduce {
   }
 
   /// The configuration pass over the freshly built nodes: config rounds
-  /// 1..l, then finish_configure on every alive union-holding node.
+  /// 1..l, every alive union-holding node completing its RankPlan on its
+  /// own worker inside the last round's consume (run_round). The driving
+  /// thread keeps one O(1) decision per rank, in rank order: a dead rank is
+  /// unconfigured, and a requested index no machine contributed is an
+  /// error unless the engine allows degraded completion and has lost a
+  /// rank, in which case it stays at the reduction identity.
   void run_config_rounds() {
-    for (std::uint16_t layer = 1; layer <= topo_.num_layers(); ++layer) {
+    const std::uint16_t l = topo_.num_layers();
+    for (std::uint16_t layer = 1; layer <= l; ++layer) {
       run_round(Phase::kConfig, layer);
     }
-    // A recovery-capable engine that already lost a whole replica group
-    // switches surviving nodes to degraded completion: unresolvable
-    // requested indices become identity instead of aborting the run.
+    if (l == 0) {
+      // No round to carry the finish: a zero-layer topology finishes here,
+      // on the union-holding ranks the rounds would have run.
+      for (Node& node : nodes_) {
+        const rank_t r = node.rank();
+        if (engine_->is_dead(r)) continue;
+        if (topo_.hierarchical() && !topo_.is_leader(r)) continue;
+        node.finish_configure();
+      }
+    }
     bool degraded = false;
     if constexpr (requires(Engine& e) {
                     { e.degraded_allowed() } -> std::convertible_to<bool>;
@@ -489,12 +509,15 @@ class SparseAllreduce {
       degraded = engine_->degraded_allowed() && engine_->has_failed();
     }
     for (Node& node : nodes_) {
-      if (engine_->is_dead(node.rank())) continue;
-      // Hierarchical non-leaders never configure as nodes; their RankPlans
-      // are filled from the intra tier in compile_hierarchical.
-      if (topo_.hierarchical() && !topo_.is_leader(node.rank())) continue;
-      node.set_degraded(degraded);
-      node.finish_configure();
+      if (!node.configured()) continue;
+      if (engine_->is_dead(node.rank())) {
+        node.unconfigure();
+        continue;
+      }
+      KYLIX_CHECK_MSG(degraded || node.missing_bottom().empty(),
+                      "requested index "
+                          << unhash_index(node.missing_bottom().front())
+                          << " was contributed by no machine");
     }
   }
 
@@ -552,6 +575,9 @@ class SparseAllreduce {
           if (gate && !topo_.is_leader(r)) return;
           nodes_[r].config_consume(layer, std::move(inbox));
           charge(phase, layer, nodes_[r]);
+          // The bottom-map sweep ends the rank's configuration on its own
+          // worker; it charges nothing, so the modeled clock is unchanged.
+          if (layer == topo_.num_layers()) nodes_[r].finish_configure();
         });
   }
 

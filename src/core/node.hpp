@@ -12,13 +12,16 @@
 //   arriving pieces (tree merge, §VI-A) and record the f/g positional maps
 //   in that layer's PlanLayer.
 //
-// finish_configure() completes the RankPlan and take_plan() moves it into a
-// CollectivePlan. The node runs no value rounds: every scatter-reduce and
-// allgather is a replay of the plan (ReplayOps, core/replay_node.hpp). The
-// one place values meet a node is minibatch mode (§III): carry_values()
-// makes the contributions ride the config letters, combined into the union
-// at every layer, inside the rank's ReplayScratch — so the replayed
-// allgather starts from the bottom buffer the node leaves there.
+// finish_configure() completes the RankPlan — on the engine worker that ran
+// the rank's last config consume, so it never throws; an unresolved
+// requested key is recorded, and the caller decides afterwards whether it
+// is an error — and take_plan() moves it into a CollectivePlan. The node
+// runs no value rounds: every scatter-reduce and allgather is a replay of
+// the plan (ReplayOps, core/replay_node.hpp). The one place values meet a
+// node is minibatch mode (§III): carry_values() makes the contributions
+// ride the config letters, combined into the union at every layer, inside
+// the rank's ReplayScratch — so the replayed allgather starts from the
+// bottom buffer the node leaves there.
 //
 // Allocation discipline: all transient key storage (letter shells, piece
 // vectors, merge workspaces) lives in a NodeScratch that survives across
@@ -99,11 +102,6 @@ class KylixNode {
       std::uint16_t layer) const {
     return groups_[layer - 1];
   }
-
-  /// Degraded-completion mode (chaos engine): requested indices that no
-  /// surviving machine contributed resolve to the reduction identity
-  /// instead of failing finish_configure(). Set before finish_configure().
-  void set_degraded(bool degraded) { degraded_ = degraded; }
 
   /// Combined configure+reduce (minibatch mode, §III): `out_values`, aligned
   /// with out_set(0), ride the config letters and are combined into the
@@ -227,9 +225,13 @@ class KylixNode {
   }
 
   /// After the last config layer: locate every bottom in-key inside the
-  /// bottom out-keys and complete the RankPlan. Throws check_error if some
-  /// requested index was never contributed by any machine (the ∪in ⊆ ∪out
-  /// precondition of §III).
+  /// bottom out-keys and complete the RankPlan. Runs on the engine worker
+  /// that consumed the rank's last config round, so it never throws: a
+  /// requested index no machine contributed (a break of the ∪in ⊆ ∪out
+  /// precondition of §III, or a lost contributor) resolves to the reduction
+  /// identity and is recorded in missing_bottom(). Whether that is a
+  /// degraded completion or an error is the caller's decision, taken once
+  /// the rounds are over (SparseAllreduce::run_config_rounds).
   void finish_configure() {
     const std::uint16_t l = topo_->num_layers();
     const KeySet& in_bottom = in_sets_[l];
@@ -246,11 +248,6 @@ class KylixNode {
         plan_.bottom_map[p] = static_cast<pos_t>(pos);
         continue;
       }
-      KYLIX_CHECK_MSG(degraded_,
-                      "requested index " << unhash_index(key)
-                                         << " was contributed by no machine");
-      // Degraded completion: the contributor's replica group is gone; this
-      // position of the result resolves to the reduction identity.
       plan_.bottom_map[p] = kMissingPos;
       plan_.missing_bottom.push_back(key);
     }
@@ -271,6 +268,16 @@ class KylixNode {
   }
 
   [[nodiscard]] bool configured() const { return configured_; }
+
+  /// Requested bottom keys that resolved to no contributed key, sorted.
+  /// Valid after finish_configure().
+  [[nodiscard]] const std::vector<key_t>& missing_bottom() const {
+    return plan_.missing_bottom;
+  }
+
+  /// Drop the completed plan of a rank that died after finishing, so
+  /// take_plan() is never called for it.
+  void unconfigure() { configured_ = false; }
 
   /// Move the completed RankPlan out (once, after finish_configure()). The
   /// node keeps its key sets and groups for introspection.
@@ -322,7 +329,6 @@ class KylixNode {
   const Topology* topo_;
   rank_t rank_;
   bool configured_ = false;
-  bool degraded_ = false;
 
   NodeScratch<V>* scratch_;  ///< external or owned_scratch_.get()
   std::unique_ptr<NodeScratch<V>> owned_scratch_;

@@ -10,10 +10,6 @@ namespace kylix {
 
 namespace {
 
-/// merge_union_into switches to galloping (exponential search + bulk copy)
-/// when one input is at least this many times the other.
-constexpr std::size_t kGallopRatio = 8;
-
 /// Append src[lo, hi) to the union in one bulk copy (vector::insert lowers
 /// to memmove) and fill the matching map entries with consecutive union
 /// positions — the memcpy-tail form of "everything left comes from one side".
@@ -66,39 +62,51 @@ void gallop_union(std::span<const key_t> lng, std::span<const key_t> shrt,
 
 void merge_union_into(std::span<const key_t> a, std::span<const key_t> b,
                       std::vector<key_t>& keys, PosMap& map_a, PosMap& map_b) {
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
   keys.clear();
-  keys.reserve(a.size() + b.size());
-  map_a.resize(a.size());
-  map_b.resize(b.size());
+  keys.reserve(na + nb);
+  map_a.resize(na);
+  map_b.resize(nb);
 
-  if (a.size() >= kGallopRatio * b.size()) {
+  if (na >= kGallopRatio * nb) {
     gallop_union(a, b, keys, map_a, map_b);
     return;
   }
-  if (b.size() >= kGallopRatio * a.size()) {
+  if (nb >= kGallopRatio * na) {
     gallop_union(b, a, keys, map_b, map_a);
     return;
   }
 
+  // Select loop: every step emits the smaller head and stores its union
+  // position into BOTH maps, then advances whichever side(s) held it. A
+  // store made before its index advances is overwritten by the step that
+  // does advance it, so every entry ends correct, with no data-dependent
+  // branch. A block of min(remaining a, remaining b) steps can exhaust
+  // neither side (each step advances at least one index), so it runs
+  // without bounds checks into a key buffer grown by exactly that block.
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const auto out = static_cast<pos_t>(keys.size());
-    if (a[i] < b[j]) {
-      keys.push_back(a[i]);
-      map_a[i++] = out;
-    } else if (b[j] < a[i]) {
-      keys.push_back(b[j]);
-      map_b[j++] = out;
-    } else {
-      keys.push_back(a[i]);
-      map_a[i++] = out;
-      map_b[j++] = out;
+  std::size_t n = 0;
+  pos_t* const ma = map_a.data();
+  pos_t* const mb = map_b.data();
+  while (i < na && j < nb) {
+    const std::size_t block = std::min(na - i, nb - j);
+    keys.resize(n + block);
+    key_t* const out = keys.data();
+    for (const std::size_t end = n + block; n < end; ++n) {
+      const key_t x = a[i];
+      const key_t y = b[j];
+      out[n] = x <= y ? x : y;
+      ma[i] = static_cast<pos_t>(n);
+      mb[j] = static_cast<pos_t>(n);
+      i += static_cast<std::size_t>(x <= y);
+      j += static_cast<std::size_t>(y <= x);
     }
   }
   // One side is exhausted: the other tail transfers as a single bulk copy.
-  bulk_take(a, i, a.size(), keys, map_a);
-  bulk_take(b, j, b.size(), keys, map_b);
+  bulk_take(a, i, na, keys, map_a);
+  bulk_take(b, j, nb, keys, map_b);
 }
 
 UnionResult merge_union(std::span<const key_t> a, std::span<const key_t> b) {

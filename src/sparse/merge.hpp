@@ -13,7 +13,10 @@
 //    reusable run buffers with a caller-suppliable MergeScratch: repeated
 //    unions of same-shaped inputs (minibatch SGD, one union per node per
 //    layer per step) stop touching the allocator once capacities warm up.
-//    It is the only union the library runs.
+//    It is the only union the library runs. Each cascade step is
+//    merge_union_into: a branch-free select loop (both maps stored every
+//    step, indices advanced by comparison results) for comparable sizes,
+//    galloping for sizes kGallopRatio or more apart.
 //  * hash_union — the hash-table alternative, kept as a measurable baseline
 //    for bench/micro_merge.
 #pragma once
@@ -45,6 +48,10 @@ struct MergeScratch {
   PosMap map_a;                             ///< 2-way merge temporaries
   PosMap map_b;
 };
+
+/// merge_union_into switches to galloping (exponential search + bulk copy)
+/// when one input is at least this many times the other.
+inline constexpr std::size_t kGallopRatio = 8;
 
 /// Union of two strictly-sorted sequences into caller-owned buffers:
 /// `keys` receives the union, `map_a`/`map_b` the positional maps of `a`/`b`
