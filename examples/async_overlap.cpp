@@ -1,4 +1,4 @@
-// Async overlap: many reduces in flight over shared channels (DESIGN §11).
+// Async overlap: many reduces in flight over shared NICs (DESIGN §11).
 //
 // Sixteen simulated machines share one compiled plan; eight independent
 // reduces (think eight model replicas hitting the same sparsity pattern)

@@ -131,6 +131,11 @@ class ParallelBspEngine {
         "FaultPlan covers fewer ranks than the engine");
   }
 
+  /// Replace the FailureModel (optional, not owned): an adopted plan's
+  /// model outlives set_fault_channel(nullptr), so a driver that reuses the
+  /// engine across fault plans drops it here.
+  void set_failures(const FailureModel* failures) { failures_ = failures; }
+
   /// Messages transmitted to dead destinations (sender paid, nothing
   /// arrived) since construction.
   [[nodiscard]] std::uint64_t dropped_messages() const { return dropped_; }
@@ -138,14 +143,13 @@ class ParallelBspEngine {
   /// During the parallel consume half this buffers per rank (the replay's
   /// bottom-gather charge included: it rides the last down consume);
   /// outside a round (e.g. the gather of a replay with no down round) it
-  /// forwards directly to the accumulator.
+  /// forwards directly to the accumulator and the observer.
   void charge_compute(Phase phase, std::uint16_t layer, rank_t rank,
                       double seconds) {
-    if (timing_ == nullptr) return;
     if (collecting_) {
       pending_compute_[rank].push_back(ComputeEvent{phase, layer, seconds});
     } else {
-      timing_->on_compute(phase, layer, rank, seconds);
+      emit_compute(phase, layer, rank, seconds);
     }
   }
 
@@ -208,7 +212,7 @@ class ParallelBspEngine {
 
     // 3. Parallel consume; compute charges buffer per rank (one consumer
     // per rank, so the buffers are contention-free).
-    collecting_ = timing_ != nullptr;
+    collecting_ = timing_ != nullptr || observer_ != nullptr;
     pool_.parallel_for(num_nodes_, [&](std::size_t r) {
       const rank_t rank = static_cast<rank_t>(r);
       if (is_dead(rank)) return;
@@ -235,13 +239,11 @@ class ParallelBspEngine {
 
     // Flush buffered charges in ascending rank order: the per-slot
     // accumulation order of a sequential consume loop.
-    if (timing_ != nullptr) {
-      for (rank_t rank = 0; rank < num_nodes_; ++rank) {
-        for (const ComputeEvent& e : pending_compute_[rank]) {
-          timing_->on_compute(e.phase, e.layer, rank, e.seconds);
-        }
-        pending_compute_[rank].clear();
+    for (rank_t rank = 0; rank < num_nodes_; ++rank) {
+      for (const ComputeEvent& e : pending_compute_[rank]) {
+        emit_compute(e.phase, e.layer, rank, e.seconds);
       }
+      pending_compute_[rank].clear();
     }
     if (observer_ != nullptr) observer_->on_round_end(phase, layer);
   }
@@ -252,6 +254,14 @@ class ParallelBspEngine {
     std::uint16_t layer;
     double seconds;
   };
+
+  void emit_compute(Phase phase, std::uint16_t layer, rank_t rank,
+                    double seconds) {
+    if (timing_ != nullptr) timing_->on_compute(phase, layer, rank, seconds);
+    if (observer_ != nullptr) {
+      observer_->on_compute(phase, layer, rank, seconds);
+    }
+  }
 
   rank_t num_nodes_;
   ThreadPool pool_;

@@ -1,17 +1,16 @@
 // The per-rank value-round kernels: the single definition of what one rank
 // does at one layer of a reduce.
 //
-// Every value round in the library runs through these kernels: the serial
-// ReduceExecutor (core/executor.hpp, which also finishes the combined
-// configure+reduce of minibatch mode) and the async resumable path
-// (core/async_node.hpp + core/async_executor.hpp). At one layer a rank
-// slices by out_split, scatter_combines by out_maps in ascending sender
-// digit, gathers the bottom, and gathers by in_maps; on top sit the chunk
-// framing (DESIGN §9) and the buffer economy all drivers share. Because
-// every driver funnels through these kernels with the same (src, chunk)-
-// sorted inboxes, async multi-stream replay is bit-identical to serial
-// replay by construction, not by test alone (the fuzz suite then asserts
-// it anyway).
+// Every value round in the library runs through these kernels, driven by
+// the serial ReduceExecutor (core/executor.hpp), which also finishes the
+// combined configure+reduce of minibatch mode and replays the async
+// executor's streams. At one layer a rank slices by out_split,
+// scatter_combines by out_maps in ascending sender digit, gathers the
+// bottom, and gathers by in_maps; on top sit the chunk framing (DESIGN §9)
+// and the buffer economy. Because an async stream is a serial replay with
+// the same (src, chunk)-sorted inboxes, multi-stream results are
+// bit-identical to serial replay by construction, not by test alone (the
+// fuzz suite then asserts it anyway).
 //
 // ReplayScratch holds the buffers: letter shells per layer, recycled value
 // pools, ping-pong merge/below buffers, pooled block-watermark scratch, and
@@ -43,8 +42,7 @@ struct NodeWork {
 };
 
 /// Everything a replay kernel needs to know about the reduce in flight.
-/// Frozen at the top of a reduce (serial) or at stream admission (async);
-/// one plan serves every value type and stride because the payload-bytes ->
+/// Frozen at the top of a reduce; one plan serves every value type and stride because the payload-bytes ->
 /// key-positions conversion happens in the driver, not at compile time.
 struct ReplayContext {
   const CollectivePlan* plan = nullptr;
@@ -74,9 +72,8 @@ struct ReplayScratch {
 };
 
 /// The per-rank replay kernels, shared verbatim by every driver. All
-/// methods are static and take the context + scratch explicitly so one
-/// rank's state can belong to a serial executor slot or to an async
-/// stream lane interchangeably.
+/// methods are static and take the context + scratch explicitly, so the
+/// executor and the minibatch node can share one rank's state.
 template <typename V, typename Op = OpSum>
 struct ReplayOps {
   /// Chunks a piece of `positions` key positions splits into (>= 1: empty

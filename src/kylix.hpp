@@ -36,7 +36,6 @@
 #include "comm/async_engine.hpp"    // IWYU pragma: export
 #include "core/allreduce.hpp"       // IWYU pragma: export
 #include "core/async_executor.hpp"  // IWYU pragma: export
-#include "core/async_node.hpp"      // IWYU pragma: export
 #include "core/autotune.hpp"        // IWYU pragma: export
 #include "core/degraded.hpp"        // IWYU pragma: export
 #include "core/epoch_manager.hpp"   // IWYU pragma: export

@@ -9,7 +9,8 @@
 // exactly like the trace/timing slots (asserted by tests/core/alloc_test).
 //
 // Hook order within one engine round:
-//   on_round_begin -> {on_message | on_drop | on_redelivery}* -> on_round_end
+//   on_round_begin -> {on_message | on_drop | on_redelivery}* -> on_compute*
+//     -> on_round_end
 // ThreadedBsp calls on_message/on_drop/on_fault/on_redelivery from worker
 // threads, all under the one observer mutex its wire-core calls run under
 // (on_drop fires inside the same critical section as the on_message that
@@ -97,6 +98,17 @@ class EngineObserver {
   virtual void on_redelivery(const MsgEvent& event, bool stale) {
     (void)event;
     (void)stale;
+  }
+
+  /// A modeled compute charge landed on (phase, layer, rank). Fired by
+  /// ParallelBspEngine from the driving thread in its TimingAccumulator's
+  /// order: after the consume half, by rank, per rank in charge order.
+  virtual void on_compute(Phase phase, std::uint16_t layer, rank_t rank,
+                          double seconds) {
+    (void)phase;
+    (void)layer;
+    (void)rank;
+    (void)seconds;
   }
 
   /// The round completed; every inbox has been consumed.

@@ -1,15 +1,18 @@
 // Bit-identity fuzz: k in-flight async streams must equal k serialized
 // ReduceExecutor replays — float and double, strided and chunked-streaming,
-// clean and under per-stream seeded FaultPlans (identical results,
-// FaultStats, and DegradedReports). Each serialized oracle stream gets a
+// clean, under per-stream seeded FaultPlans, and with faulted and clean
+// streams mixed in one batch (identical results, FaultStats,
+// DegradedReports, and per-(phase, layer) observer counts and bytes of
+// on_message, on_drop and on_fault). Each serialized oracle stream gets a
 // fresh engine + FaultChannel + identically-configured FaultPlan, exactly
-// the isolation the async executor's per-stream fault scripts provide (a
-// shared serial channel would leak delayed letters across reduces, which
-// no per-stream schedule can represent).
+// the isolation the async executor's per-stream fault channels provide (a
+// shared serial channel would leak delayed letters across reduces).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/fault_plan.hpp"
@@ -43,6 +46,50 @@ struct FaultConfig {
   }
 };
 
+/// Per-(phase, layer) counts and bytes of the wire hooks.
+struct WireTally {
+  struct Cell {
+    std::uint64_t messages = 0, message_bytes = 0;
+    std::uint64_t drops = 0, drop_bytes = 0;
+    std::uint64_t faults = 0, fault_bytes = 0;
+    bool operator==(const Cell&) const = default;
+  };
+  std::map<std::pair<Phase, std::uint16_t>, Cell> cells;
+  bool operator==(const WireTally&) const = default;
+};
+
+/// Tallies the wire hooks per stream: a reduce's first round,
+/// (kReduceDown, 1), opens the next stream's tally. The async executor
+/// replays its streams in submit order, so the i-th tally is stream i's.
+class StreamTallies : public EngineObserver {
+ public:
+  void on_round_begin(Phase phase, std::uint16_t layer) override {
+    if (phase == Phase::kReduceDown && layer == 1) streams.emplace_back();
+  }
+  void on_message(const MsgEvent& e) override {
+    auto& c = cell(e);
+    ++c.messages;
+    c.message_bytes += e.bytes;
+  }
+  void on_drop(const MsgEvent& e) override {
+    auto& c = cell(e);
+    ++c.drops;
+    c.drop_bytes += e.bytes;
+  }
+  void on_fault(const MsgEvent& e, FaultAction) override {
+    auto& c = cell(e);
+    ++c.faults;
+    c.fault_bytes += e.bytes;
+  }
+
+  std::vector<WireTally> streams;
+
+ private:
+  WireTally::Cell& cell(const MsgEvent& e) {
+    return streams.back().cells[{e.phase, e.layer}];
+  }
+};
+
 template <typename V>
 void run_case(std::uint64_t seed) {
   Rng rng(mix64(seed * 977 + 13));
@@ -70,7 +117,8 @@ void run_case(std::uint64_t seed) {
   const int streams = 2 + static_cast<int>(rng.below(4));
   const std::uint32_t window =
       1 + static_cast<std::uint32_t>(rng.below(streams));
-  const bool faulted = rng.below(2) == 0;
+  // 0: every stream clean, 1: every stream faulted, 2: a mix in one batch.
+  const std::uint64_t fault_mode = rng.below(3);
 
   // Per-stream inputs: stride payloads interleaved key-major, values
   // varying per stream.
@@ -89,8 +137,10 @@ void run_case(std::uint64_t seed) {
   }
   // Per-stream fault schedules (distinct seeds so streams differ).
   std::vector<FaultConfig> configs(streams);
-  if (faulted) {
-    for (int i = 0; i < streams; ++i) {
+  std::vector<bool> faulted(streams, false);
+  for (int i = 0; i < streams; ++i) {
+    faulted[i] = fault_mode == 1 || (fault_mode == 2 && rng.below(2) == 0);
+    if (faulted[i]) {
       FaultConfig& cfg = configs[i];
       cfg.seed = rng();
       cfg.drop = rng.uniform() * 0.15;
@@ -102,18 +152,20 @@ void run_case(std::uint64_t seed) {
     }
   }
 
+  StreamTallies async_wire;
   AsyncExecutor<V> ax;
   typename AsyncExecutor<V>::Options opts;
   opts.window = window;
   opts.streaming = streaming;
   opts.chunk_bytes_override = chunk_override;
   opts.stride = stride;
+  opts.observer = &async_wire;
   ax.bind(plan, opts);
   std::vector<FaultPlan> fault_plans;
   fault_plans.reserve(streams);
   std::vector<std::uint32_t> tags;
   for (int i = 0; i < streams; ++i) {
-    if (faulted) {
+    if (faulted[i]) {
       fault_plans.push_back(configs[i].build(m));
       tags.push_back(ax.submit(inputs[i], &fault_plans.back()));
     } else {
@@ -121,13 +173,16 @@ void run_case(std::uint64_t seed) {
     }
   }
   ax.drain();
+  ASSERT_EQ(async_wire.streams.size(), static_cast<std::size_t>(streams));
 
   for (int i = 0; i < streams; ++i) {
     SCOPED_TRACE("stream " + std::to_string(i));
+    StreamTallies serial_wire;
     BspEngine<V> engine(m);
+    engine.set_observer(&serial_wire);
     std::optional<FaultPlan> oracle_faults;
     std::optional<FaultChannel<V>> channel;
-    if (faulted) {
+    if (faulted[i]) {
       oracle_faults.emplace(configs[i].build(m));
       channel.emplace(&*oracle_faults);
       engine.set_fault_channel(&*channel);
@@ -143,7 +198,10 @@ void run_case(std::uint64_t seed) {
     const DegradedReport serial_report = ar.degraded_report();
     EXPECT_EQ(async_report.degraded, serial_report.degraded);
     EXPECT_EQ(async_report.summary(), serial_report.summary());
-    if (faulted) {
+    ASSERT_EQ(serial_wire.streams.size(), 1u);
+    EXPECT_TRUE(async_wire.streams[i] == serial_wire.streams[0])
+        << "observer counts or bytes differ from the serial replay";
+    if (faulted[i]) {
       const FaultStats& got = ax.fault_stats(tags[i]);
       const FaultStats& want = oracle_faults->stats();
       EXPECT_EQ(got.crashes, want.crashes);
