@@ -47,11 +47,12 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L stream
 # postmortem JSON round-trip — so it gets its own labeled lane.
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L obs
 
-# Focused async pass: the overlapped executor multiplexes many in-flight
-# streams over one shared channel — pooled letter shells migrating between
-# lanes, value buffers recycled to their senders mid-drain, the threaded
-# scheduler's park/wake edges — exactly where use-after-recycle and lost
-# wakeups hide (the tsan tree runs the same label for the race half).
+# Focused async pass: the overlapped executor replays many streams back to
+# back through one pooled ReduceExecutor — adopted inputs, value buffers
+# recycled across streams, a FaultChannel attached and destroyed per
+# faulted stream, records reused across batches — exactly where
+# use-after-recycle and dangling-channel bugs hide (the tsan tree runs the
+# same label for the race half).
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" -L async
 
 # Focused hierarchy pass: the two-tier replay reads peer value buffers

@@ -8,7 +8,7 @@
 # wasteful when most tests are single-threaded by construction:
 #   chaos       fault injection over the real-thread engines
 #   membership  epoch swaps + heal/rejoin over threaded engines
-#   async       the overlapped executor's scheduler park/wake edges
+#   async       the overlapped executor's streams on its engine's workers
 #   hierarchy   the intra-node single-copy stage over sharded pool workers
 #   tsan        everything else that spawns real host threads
 #
