@@ -14,9 +14,12 @@
 //
 // Output rows carry elements/s for kernel and baseline plus the ratio;
 // tools/bench_check.sh diffs them against the committed JSON with a
-// tolerance, which is the perf gate until CI exists. Timing is min-of-trials
-// over repeated calls on warm scratch buffers, so the numbers track the
-// steady-state (allocation-free) regime the engines run in.
+// tolerance, which is the perf gate until CI exists. Each row runs 15
+// trials of repeated calls on warm scratch buffers, kernel and baseline
+// interleaved within every trial, and reports the median and interquartile
+// range of the kernel and baseline elements/s and of the per-trial speedup;
+// the numbers track the steady-state (allocation-free) regime the engines
+// run in, and the IQR says how far one run can be trusted.
 //
 // A "host" fingerprint (CPU model, usable CPUs, compiler, KYLIX_NATIVE and
 // LTO) says where the numbers come from: absolute elements/s only compare
@@ -30,6 +33,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -46,24 +50,31 @@ namespace {
 using namespace kylix;
 using kylix::key_t;  // <sched.h> drags in POSIX ::key_t, an int
 
-constexpr int kTrials = 5;
+constexpr int kTrials = 15;
 constexpr std::size_t kTargetElementsPerTrial = std::size_t{1} << 22;
+/// A trial also lasts at least this long, so one scheduler preemption of a
+/// fast kernel (~2 ms for 2^22 elements) cannot dominate it.
+constexpr double kMinTrialSeconds = 0.02;
 
 const std::size_t kSizes[] = {std::size_t{1} << 14, std::size_t{1} << 17,
                               std::size_t{1} << 20};
 
-/// Seconds per call, min over kTrials trials of reps calls each.
-template <typename Fn>
-double time_per_call(std::size_t elements, Fn&& fn) {
-  const std::size_t reps =
-      std::max<std::size_t>(1, kTargetElementsPerTrial / (elements + 1));
-  double best = 1e30;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    bench::WallTimer t;
-    for (std::size_t r = 0; r < reps; ++r) fn();
-    best = std::min(best, t.seconds() / static_cast<double>(reps));
-  }
-  return best;
+/// Median and interquartile range of a sample (linear interpolation
+/// between order statistics).
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.5), at(0.75) - at(0.25)};
 }
 
 struct Row {
@@ -71,9 +82,47 @@ struct Row {
   const char* baseline;
   std::size_t size;
   const char* skew;
-  double kernel_eps = 0;
-  double baseline_eps = 0;
+  Spread kernel_eps{};
+  Spread baseline_eps{};
+  Spread speedup{};  ///< per-trial kernel/baseline ratios
 };
+
+/// Time kernel and baseline in kTrials interleaved trials (kernel first,
+/// then baseline, every trial), so drift on the host hits both sides of
+/// each trial's ratio alike. Each side repeats its call to cover
+/// kTargetElementsPerTrial elements and kMinTrialSeconds, sized from one
+/// warm-up call. Fills the row's elements/s and speedup spreads.
+template <typename KernelFn, typename BaselineFn>
+void measure(Row& row, std::size_t elements, KernelFn&& kernel,
+             BaselineFn&& baseline) {
+  const auto reps_for = [&](auto& fn) {
+    bench::WallTimer t;
+    fn();
+    const auto by_time =
+        static_cast<std::size_t>(kMinTrialSeconds / t.seconds()) + 1;
+    return std::max<std::size_t>(
+        by_time, kTargetElementsPerTrial / (elements + 1));
+  };
+  const std::size_t kernel_reps = reps_for(kernel);
+  const std::size_t baseline_reps = reps_for(baseline);
+  const auto eps = [&](auto& fn, std::size_t reps) {
+    bench::WallTimer t;
+    for (std::size_t r = 0; r < reps; ++r) fn();
+    return static_cast<double>(elements) * static_cast<double>(reps) /
+           t.seconds();
+  };
+  std::vector<double> k;
+  std::vector<double> b;
+  std::vector<double> ratio;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    k.push_back(eps(kernel, kernel_reps));
+    b.push_back(eps(baseline, baseline_reps));
+    ratio.push_back(k.back() / b.back());
+  }
+  row.kernel_eps = spread_of(k);
+  row.baseline_eps = spread_of(b);
+  row.speedup = spread_of(ratio);
+}
 
 void emit(obs::JsonWriter& json, const Row& row) {
   json.begin_object();
@@ -81,17 +130,17 @@ void emit(obs::JsonWriter& json, const Row& row) {
   json.key_value("baseline", row.baseline);
   json.key_value("size", static_cast<std::uint64_t>(row.size));
   json.key_value("skew", row.skew);
-  json.key_value("kernel_eps", row.kernel_eps);
-  json.key_value("baseline_eps", row.baseline_eps);
-  json.key_value("speedup", row.baseline_eps > 0
-                                ? row.kernel_eps / row.baseline_eps
-                                : 0.0);
+  json.key_value("kernel_eps", row.kernel_eps.median);
+  json.key_value("kernel_eps_iqr", row.kernel_eps.iqr);
+  json.key_value("baseline_eps", row.baseline_eps.median);
+  json.key_value("baseline_eps_iqr", row.baseline_eps.iqr);
+  json.key_value("speedup", row.speedup.median);
+  json.key_value("speedup_iqr", row.speedup.iqr);
   json.end_object();
-  std::printf("%-14s %8zu %-9s  kernel %.3g el/s  baseline %.3g el/s  "
-              "(%.2fx)\n",
-              row.kernel, row.size, row.skew, row.kernel_eps,
-              row.baseline_eps,
-              row.baseline_eps > 0 ? row.kernel_eps / row.baseline_eps : 0.0);
+  std::printf("%-16s %8zu %-14s  kernel %.3g el/s  baseline %.3g el/s  "
+              "(%.2fx, IQR %.2f)\n",
+              row.kernel, row.size, row.skew, row.kernel_eps.median,
+              row.baseline_eps.median, row.speedup.median, row.speedup.iqr);
 }
 
 std::vector<key_t> make_keys(std::size_t n, bool duplicate_heavy,
@@ -114,19 +163,19 @@ void bench_sort(obs::JsonWriter& json) {
 
       std::vector<key_t> work(n);
       std::vector<key_t> scratch(n);
-      const double radix_s = time_per_call(n, [&] {
-        work.assign(data.begin(), data.end());
-        kernels::radix_sort_dedup(work, scratch);
-      });
-      const double std_s = time_per_call(n, [&] {
-        work.assign(data.begin(), data.end());
-        std::sort(work.begin(), work.end());
-        work.erase(std::unique(work.begin(), work.end()), work.end());
-      });
       // Both loops pay the same refill copy; report elements/s of the whole
       // call so the ratio is conservative for the radix side.
-      row.kernel_eps = static_cast<double>(n) / radix_s;
-      row.baseline_eps = static_cast<double>(n) / std_s;
+      measure(
+          row, n,
+          [&] {
+            work.assign(data.begin(), data.end());
+            kernels::radix_sort_dedup(work, scratch);
+          },
+          [&] {
+            work.assign(data.begin(), data.end());
+            std::sort(work.begin(), work.end());
+            work.erase(std::unique(work.begin(), work.end()), work.end());
+          });
       emit(json, row);
     }
   }
@@ -150,26 +199,30 @@ void bench_scatter_gather(obs::JsonWriter& json) {
       const char* skew = random_map ? "random-map" : "sequential-map";
 
       Row srow{"scatter_combine", "scatter_scalar", n, skew};
-      srow.kernel_eps = static_cast<double>(n) / time_per_call(n, [&] {
-        kernels::scatter_combine<real_t, OpSum>(std::span<real_t>(acc),
-                                                values, map, {});
-      });
-      srow.baseline_eps = static_cast<double>(n) / time_per_call(n, [&] {
-        kernels::scatter_combine_scalar<real_t, OpSum>(std::span<real_t>(acc),
-                                                       values, map, {});
-      });
+      measure(
+          srow, n,
+          [&] {
+            kernels::scatter_combine<real_t, OpSum>(std::span<real_t>(acc),
+                                                    values, map, {});
+          },
+          [&] {
+            kernels::scatter_combine_scalar<real_t, OpSum>(
+                std::span<real_t>(acc), values, map, {});
+          });
       emit(json, srow);
 
       Row grow{"gather", "gather_scalar", n, skew};
       std::vector<real_t> out(n);
-      grow.kernel_eps = static_cast<double>(n) / time_per_call(n, [&] {
-        kernels::gather<real_t>(std::span<const real_t>(acc), map,
-                                out.data());
-      });
-      grow.baseline_eps = static_cast<double>(n) / time_per_call(n, [&] {
-        kernels::gather_scalar<real_t>(std::span<const real_t>(acc), map,
-                                       out.data());
-      });
+      measure(
+          grow, n,
+          [&] {
+            kernels::gather<real_t>(std::span<const real_t>(acc), map,
+                                    out.data());
+          },
+          [&] {
+            kernels::gather_scalar<real_t>(std::span<const real_t>(acc), map,
+                                           out.data());
+          });
       emit(json, grow);
     }
   }
@@ -292,16 +345,11 @@ void bench_tree_merge(obs::JsonWriter& json) {
       Row row{"tree_merge", "tree_merge_branching", total, skew};
       UnionResult out;
       MergeScratch scratch;
-      row.kernel_eps = static_cast<double>(total) /
-                       time_per_call(total, [&] {
-                         tree_merge_into(spans, out, scratch);
-                       });
       UnionResult base;
       MergeScratch base_scratch;
-      row.baseline_eps = static_cast<double>(total) /
-                         time_per_call(total, [&] {
-                           branching_tree_merge(spans, base, base_scratch);
-                         });
+      measure(
+          row, total, [&] { tree_merge_into(spans, out, scratch); },
+          [&] { branching_tree_merge(spans, base, base_scratch); });
       if (base.keys != out.keys || base.maps != out.maps) {
         std::fprintf(stderr, "error: tree_merge rows disagree (%s)\n", skew);
         std::exit(1);

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Kernel perf regression gate: rebuilds bench/micro_kernels in Release,
-# re-measures every kernel row, and compares it against the committed
-# BENCH_kernels.json. A row regressing by more than the tolerance fails the
-# gate and the table marks it REGRESS. Absolute kernel_eps only compares on
+# re-measures every kernel row (median and IQR over 15 trials), and compares
+# the fresh median against the committed BENCH_kernels.json. A row whose
+# median regresses by more than the tolerance fails the gate and the table
+# marks it REGRESS; a row whose fresh IQR is wider than the tolerance is
+# marked unresolved and fails the gate as "kernel (unresolved)", since one
+# run cannot tell its regression from noise. Absolute kernel_eps only compares on
 # the host that produced the baseline: when the fresh run's host fingerprint
 # (CPU model, usable CPUs, compiler, KYLIX_NATIVE, LTO) matches the
 # committed one, the gate compares kernel_eps; otherwise — a baseline with
@@ -75,8 +78,8 @@ cmake --build "${build_dir}" -j "$(nproc)" --target micro_kernels
 fresh="${build_dir}/BENCH_kernels_fresh.json"
 "${build_dir}/bench/micro_kernels" "${fresh}" > /dev/null
 
-python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF' \
-  || failed_gates+=("kernel")
+kernel_status=0
+python3 - "${baseline}" "${fresh}" "${tolerance}" <<'EOF' || kernel_status=$?
 import json
 import sys
 
@@ -95,36 +98,53 @@ if missing:
 
 same_host = "host" in baseline and baseline["host"] == fresh.get("host")
 if same_host:
-    mode, unit = "absolute kernel_eps (same host fingerprint)", "el/s"
+    mode, unit, field = ("absolute median kernel_eps (same host "
+                         "fingerprint)"), "el/s", "kernel_eps"
 else:
-    mode, unit = ("in-run speedup kernel_eps/baseline_eps (host fingerprint "
-                  "differs or is missing)"), "x"
+    mode, unit, field = ("in-run median speedup kernel_eps/baseline_eps "
+                         "(host fingerprint differs or is missing)"), "x", \
+        "speedup"
 print(f"kernel gate mode: {mode}")
 
+# Each row decides on the fresh run's median. Its spread is the fresh IQR
+# relative to that median: wider than the tolerance, one run cannot tell a
+# regression from noise, so the row is unresolved rather than ok or
+# REGRESS. The band itself is never widened.
 print(f"{'kernel':<16}{'size':>9} {'skew':<15}{'old ' + unit:>11}"
-      f"{'new ' + unit:>11}{'ratio':>7}  status")
-failed = 0
+      f"{'new ' + unit:>11}{'ratio':>7}{'IQR':>7}  status")
+regressed = unresolved = 0
 for key in sorted(old):
     row = new[key]
-    if same_host:
-        o, n = old[key]["kernel_eps"], row["kernel_eps"]
-    else:
-        o = old[key]["speedup"]
-        n = row["kernel_eps"] / row["baseline_eps"] if row["baseline_eps"] \
-            else 0.0
+    o, n = old[key][field], row[field]
+    spread = row.get(field + "_iqr", float("inf")) / n if n else float("inf")
     ratio = n / o if o else float("inf")
-    ok = n >= (1.0 - tol) * o
-    failed += not ok
+    if spread > tol:
+        status = "unresolved"
+        unresolved += 1
+    elif n >= (1.0 - tol) * o:
+        status = "ok"
+    else:
+        status = "REGRESS"
+        regressed += 1
     print(f"{key[0]:<16}{key[1]:>9} {key[2]:<15}{o:>11.3g}{n:>11.3g}"
-          f"{ratio:>7.2f}  {'ok' if ok else 'REGRESS'}")
+          f"{ratio:>7.2f}{spread:>7.0%}  {status}")
 
-if failed:
-    print(f"\n{failed} kernel row(s) regressed beyond "
+if regressed:
+    print(f"\n{regressed} kernel row(s) regressed beyond "
           f"{tol:.0%} tolerance vs {baseline_path} ({mode})")
     sys.exit(1)
+if unresolved:
+    print(f"\n{unresolved} kernel row(s) unresolved: IQR wider than the "
+          f"{tol:.0%} tolerance ({mode})")
+    sys.exit(3)
 print(f"\nall {len(old)} kernel rows within {tol:.0%} of the baseline "
       f"({mode})")
 EOF
+case "${kernel_status}" in
+  0) ;;
+  3) failed_gates+=("kernel (unresolved)") ;;
+  *) failed_gates+=("kernel") ;;
+esac
 
 # ---- No-fault-overhead gate ------------------------------------------------
 # The chaos layer adds a delivery hook to every engine; with fault hooks
